@@ -1,6 +1,6 @@
 exception Bus_error of { addr : int; write : bool }
 
-type dmi = { base : int; limit : int; data : Bytes.t; tags : Bytes.t }
+type dmi = { base : int; limit : int; data : Ram.plane; tags : Ram.plane }
 
 type t = {
   socket : Tlm.Socket.initiator;
@@ -42,10 +42,15 @@ let create ~lattice ~default_tag ~tracking ~name =
 
 let socket b = b.socket
 
-let set_dmi b ~base ~data ~tags =
-  if Bytes.length data <> Bytes.length tags then
-    invalid_arg "Bus_if.set_dmi: data/tags length mismatch";
-  b.dmi <- Some { base; limit = base + Bytes.length data - 1; data; tags }
+let set_dmi b ~base ~ram =
+  b.dmi <-
+    Some
+      {
+        base;
+        limit = base + Ram.size ram - 1;
+        data = Ram.data ram;
+        tags = Ram.tags ram;
+      }
 
 let clear_dmi b = b.dmi <- None
 
@@ -107,35 +112,40 @@ let mmio_store b ~width ~addr ~value ~tag =
   if not (Tlm.Payload.ok p) then raise (Bus_error { addr; write = true });
   b.acc_delay <- Sysc.Time.add b.acc_delay delay
 
+(* [tag * replicate.(w)] repeats a byte tag over [w] bytes. *)
+let replicate = [| 0; 0x1; 0x101; 0; 0x1010101 |]
+
 let load b ~width ~addr =
   match b.dmi with
   | Some d when addr >= d.base && addr + width - 1 <= d.limit ->
       let off = addr - d.base in
       if b.tracking then begin
-        let t = ref (Char.code (Bytes.unsafe_get d.tags off)) in
-        (* The merge hook is matched outside the byte loop so the common
-           (no-tracer) configuration keeps its original inner loop. *)
-        (match b.on_merge with
-        | None ->
-            for i = 1 to width - 1 do
-              t :=
-                Dift.Lattice.lub b.lat !t
-                  (Char.code (Bytes.unsafe_get d.tags (off + i)))
-            done
-        | Some f ->
-            for i = 1 to width - 1 do
-              let x = Char.code (Bytes.unsafe_get d.tags (off + i)) in
-              let r = Dift.Lattice.lub b.lat !t x in
-              f !t x r;
-              t := r
-            done);
-        b.last_tag <- !t
+        (* One read packs the byte tags, byte [i]'s in bits 8i..8i+7.
+           Bytes that all carry one tag (the usual case) fold to it
+           without a join. *)
+        let tags = Ram.get d.tags ~width off in
+        let t0 = tags land 0xff in
+        if tags = t0 * replicate.(width) then b.last_tag <- t0
+        else begin
+          let t = ref t0 in
+          (* The merge hook is matched outside the byte loop so the common
+             (no-tracer) configuration keeps its original inner loop. *)
+          (match b.on_merge with
+          | None ->
+              for i = 1 to width - 1 do
+                t := Dift.Lattice.lub b.lat !t ((tags lsr (8 * i)) land 0xff)
+              done
+          | Some f ->
+              for i = 1 to width - 1 do
+                let x = (tags lsr (8 * i)) land 0xff in
+                let r = Dift.Lattice.lub b.lat !t x in
+                f !t x r;
+                t := r
+              done);
+          b.last_tag <- !t
+        end
       end;
-      (match width with
-      | 1 -> Bytes.get_uint8 d.data off
-      | 2 -> Bytes.get_uint16_le d.data off
-      | 4 -> Int32.to_int (Bytes.get_int32_le d.data off) land 0xffffffff
-      | w -> invalid_arg (Printf.sprintf "Bus_if: unsupported access width %d" w))
+      Ram.get d.data ~width off
   | Some _ | None ->
       b.last_tag <- b.default_tag;
       mmio_load b ~width ~addr
@@ -144,22 +154,14 @@ let store b ~width ~addr ~value ~tag =
   match b.dmi with
   | Some d when addr >= d.base && addr + width - 1 <= d.limit ->
       let off = addr - d.base in
-      (match width with
-      | 1 -> Bytes.set_uint8 d.data off (value land 0xff)
-      | 2 -> Bytes.set_uint16_le d.data off (value land 0xffff)
-      | 4 -> Bytes.set_int32_le d.data off (Int32.of_int value)
-      | w -> invalid_arg (Printf.sprintf "Bus_if: unsupported access width %d" w));
-      if b.tracking then begin
-        let c = Char.chr tag in
-        for i = 0 to width - 1 do
-          Bytes.unsafe_set d.tags (off + i) c
-        done
-      end;
+      Ram.set d.data ~width off value;
+      (* [width] is 1, 2 or 4 here: Ram.set rejected anything else. *)
+      if b.tracking then Ram.set d.tags ~width off (tag * replicate.(width));
       b.on_code_write addr width
   | Some _ | None -> mmio_store b ~width ~addr ~value ~tag
 
 let mem_tag b ~addr =
   match b.dmi with
   | Some d when addr >= d.base && addr <= d.limit ->
-      Some (Char.code (Bytes.get d.tags (addr - d.base)))
+      Some (Ram.get d.tags ~width:1 (addr - d.base))
   | Some _ | None -> None

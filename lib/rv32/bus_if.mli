@@ -26,9 +26,9 @@ val create :
 val socket : t -> Tlm.Socket.initiator
 (** Bind this to the SoC router. *)
 
-val set_dmi : t -> base:int -> data:Bytes.t -> tags:Bytes.t -> unit
-(** Register a DMI region: accesses to [base .. base + |data| - 1] touch the
-    byte buffers directly, bypassing the router. *)
+val set_dmi : t -> base:int -> ram:Ram.t -> unit
+(** Register a DMI region: accesses to [base .. base + Ram.size ram - 1]
+    go straight to the RAM's pages, bypassing the router. *)
 
 val clear_dmi : t -> unit
 
@@ -55,8 +55,10 @@ val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
 (** Install (or clear) a tag-merge observer, called as [f a b r] for each
     LUB taken while folding byte tags of a multi-byte load (both the DMI
     and the MMIO path). Trivial joins ([r] equal to an input) are
-    reported too; filter downstream. Used by the provenance tracker; the
-    no-observer configuration keeps the original fold loop. *)
+    reported too; filter downstream. A DMI load whose bytes all carry one
+    tag takes no join and reports nothing. Used by the provenance
+    tracker; the no-observer configuration keeps the original fold
+    loop. *)
 
 val take_delay : t -> Sysc.Time.t
 (** Return and reset the accumulated TLM timing annotation. *)

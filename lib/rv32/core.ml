@@ -113,6 +113,56 @@ type block = {
 
 let max_block_insns = 32
 
+(* --- Sparse per-word tables ------------------------------------------- *)
+
+(* The pc-indexed caches hold one entry per instruction word of the DMI
+   (RAM) region. Each is a directory of fixed-size pages, a page being
+   allocated on its first insert: a core costs what its code touches,
+   not its RAM, and clearing or range-flushing visits allocated pages
+   only. Callers keep indices within [0, length). *)
+module Table = struct
+  let page_bits = 10
+  let page_size = 1 lsl page_bits
+  let page_mask = page_size - 1
+
+  type 'a t = { n : int; empty : 'a; dir : 'a array array }
+
+  let create n empty =
+    { n; empty; dir = Array.make ((n + page_mask) lsr page_bits) [||] }
+
+  let length t = t.n
+
+  let[@inline] get t i =
+    let pg = Array.unsafe_get t.dir (i lsr page_bits) in
+    if Array.length pg = 0 then t.empty else Array.unsafe_get pg (i land page_mask)
+
+  let set t i v =
+    let d = i lsr page_bits in
+    let pg = Array.unsafe_get t.dir d in
+    let pg =
+      if Array.length pg > 0 then pg
+      else begin
+        let pg = Array.make page_size t.empty in
+        Array.unsafe_set t.dir d pg;
+        pg
+      end
+    in
+    Array.unsafe_set pg (i land page_mask) v
+
+  let clear t = Array.fill t.dir 0 (Array.length t.dir) [||]
+
+  (* Reset to [empty] each entry of [i0 .. i1] that [drop] selects. *)
+  let drop_range t i0 i1 drop =
+    for d = i0 lsr page_bits to i1 lsr page_bits do
+      let pg = Array.unsafe_get t.dir d in
+      if Array.length pg > 0 then
+        for i = max i0 (d lsl page_bits) to min i1 ((d lsl page_bits) lor page_mask) do
+          let o = i land page_mask in
+          if drop (Array.unsafe_get pg o) then Array.unsafe_set pg o t.empty
+        done
+    done
+end
+
 (* Block membership is classified next to the decoder so both engines
    build identical blocks. *)
 let block_breaker insn = Decode.block_class insn = Decode.Breaker
@@ -188,16 +238,16 @@ module Make (M : MODE) = struct
        comparing the cached word, so self-modifying code re-decodes. Used
        by the single-step path and during block building. *)
     pc_cache_base : int;
-    pc_cache_words : int array;  (* empty if no DMI region *)
-    pc_cache_insns : Insn.t array;
+    pc_cache_words : int Table.t;  (* empty if no DMI region *)
+    pc_cache_insns : Insn.t Table.t;
     (* Decoded basic-block cache over the same region, keyed by start pc.
        Unlike the per-word cache it is NOT self-validating: stores into
        cached code must call {!flush_code} (wired from Bus_if and the
        SoC memory model). *)
     use_blocks : bool;
     engine : engine;
-    blocks : block option array;  (* Interp engine; [||] when disabled *)
-    cblocks : cblock option array;  (* Threaded engine; [||] when disabled *)
+    blocks : block option Table.t;  (* Interp engine; empty when disabled *)
+    cblocks : cblock option Table.t;  (* Threaded engine; empty when disabled *)
     blk_base : int;
     blk_limit : int;
     mutable code_lo : int;  (* byte range ever covered by built blocks *)
@@ -274,22 +324,16 @@ module Make (M : MODE) = struct
       let hi = min last t.blk_limit in
       if lo <= hi then begin
         let i0 = (lo - t.blk_base) lsr 2 and i1 = (hi - t.blk_base) lsr 2 in
-        if Array.length t.blocks > 0 then
-          for i = i0 to i1 do
-            match Array.unsafe_get t.blocks i with
+        if Table.length t.blocks > 0 then
+          Table.drop_range t.blocks i0 i1 (function
             | Some b ->
                 let words = max 1 (Array.length b.b_insns) in
-                if b.b_pc + (4 * words) - 1 >= addr then
-                  Array.unsafe_set t.blocks i None
-            | None -> ()
-          done;
-        if Array.length t.cblocks > 0 then
-          for i = i0 to i1 do
-            match Array.unsafe_get t.cblocks i with
-            | Some cb ->
-                if cb.cb_hi >= addr then Array.unsafe_set t.cblocks i None
-            | None -> ()
-          done
+                b.b_pc + (4 * words) - 1 >= addr
+            | None -> false);
+        if Table.length t.cblocks > 0 then
+          Table.drop_range t.cblocks i0 i1 (function
+            | Some cb -> cb.cb_hi >= addr
+            | None -> false)
       end;
       (* Superblocks span two blocks, so the slot may sit outside the
          positional window above; their registry is scanned by span.
@@ -299,10 +343,10 @@ module Make (M : MODE) = struct
         t.sblocks <-
           List.filter
             (fun (i, cb) ->
-              match Array.unsafe_get t.cblocks i with
+              match Table.get t.cblocks i with
               | Some cur when cur == cb ->
                   if cb.cb_hi >= addr && cb.cb_lo <= last then begin
-                    Array.unsafe_set t.cblocks i None;
+                    Table.set t.cblocks i None;
                     false
                   end
                   else true
@@ -317,8 +361,8 @@ module Make (M : MODE) = struct
       match Bus_if.dmi_range bus with
       | Some (base, limit) ->
           let entries = ((limit - base) / 4) + 1 in
-          (base, Array.make entries (-1), Array.make entries (Insn.ILLEGAL 0))
-      | None -> (0, [||], [||])
+          (base, Table.create entries (-1), Table.create entries (Insn.ILLEGAL 0))
+      | None -> (0, Table.create 0 (-1), Table.create 0 (Insn.ILLEGAL 0))
     in
     let lat = policy.Dift.Policy.lattice in
     let pub =
@@ -334,16 +378,12 @@ module Make (M : MODE) = struct
     in
     (* Each engine keeps its own cache of derived block state: decoded
        blocks for the interpreter, compiled closure chains for the
-       threaded engine. Only the selected engine's array is allocated. *)
+       threaded engine. Only the selected engine's table has entries. *)
     let blocks =
-      if cache_entries > 0 && engine = Interp then
-        Array.make cache_entries None
-      else [||]
+      Table.create (if engine = Interp then cache_entries else 0) None
     in
-    let cblocks : cblock option array =
-      if cache_entries > 0 && engine <> Interp then
-        Array.make cache_entries None
-      else [||]
+    let cblocks : cblock option Table.t =
+      Table.create (if engine <> Interp then cache_entries else 0) None
     in
     (* The fast path is sound only if the bottom tag passes every check the
        engine could skip: the execution clearances and all store-integrity
@@ -467,9 +507,9 @@ module Make (M : MODE) = struct
      reads [t.trace] dynamically and needs neither. *)
   let set_trace t fn =
     t.trace <- fn;
-    if Array.length t.cblocks > 0 then begin
+    if Table.length t.cblocks > 0 then begin
       t.flush_epoch <- t.flush_epoch + 1;
-      Array.fill t.cblocks 0 (Array.length t.cblocks) None;
+      Table.clear t.cblocks;
       t.sblocks <- [];
       t.prev_cb <- None
     end
@@ -491,10 +531,16 @@ module Make (M : MODE) = struct
 
   (* --- DIFT checks ------------------------------------------------- *)
 
+  (* Joining a tag with itself yields it: the common case (both operands
+     bottom, or both carrying one class) costs a compare, not a lattice
+     lookup, and reports nothing to the merge hook. *)
   let lub t a b =
-    let r = Dift.Lattice.lub t.lat a b in
-    (match t.on_merge with Some f -> f a b r | None -> ());
-    r
+    if a = b then a
+    else begin
+      let r = Dift.Lattice.lub t.lat a b in
+      (match t.on_merge with Some f -> f a b r | None -> ());
+      r
+    end
 
   (* The detail string is built lazily: these checks run on every
      instruction, and allocating a formatted string on the hot path would
@@ -963,13 +1009,13 @@ module Make (M : MODE) = struct
 
   let decode_cached t pc word =
     let idx = (pc - t.pc_cache_base) lsr 2 in
-    if idx >= 0 && idx < Array.length t.pc_cache_words then
-      if Array.unsafe_get t.pc_cache_words idx = word then
-        Array.unsafe_get t.pc_cache_insns idx
+    if idx >= 0 && idx < Table.length t.pc_cache_words then
+      if Table.get t.pc_cache_words idx = word then
+        Table.get t.pc_cache_insns idx
       else begin
         let insn = Decode.decode word in
-        Array.unsafe_set t.pc_cache_words idx word;
-        Array.unsafe_set t.pc_cache_insns idx insn;
+        Table.set t.pc_cache_words idx word;
+        Table.set t.pc_cache_insns idx insn;
         insn
       end
     else decode_slow t word
@@ -1136,14 +1182,14 @@ module Make (M : MODE) = struct
     else begin
       let pc0 = t.pc in
       let idx = (pc0 - t.blk_base) lsr 2 in
-      if pc0 land 3 <> 0 || idx >= Array.length t.blocks then step t
+      if pc0 land 3 <> 0 || idx >= Table.length t.blocks then step t
       else
         let b =
-          match Array.unsafe_get t.blocks idx with
+          match Table.get t.blocks idx with
           | Some b -> b
           | None ->
               let b = build_block t pc0 in
-              Array.unsafe_set t.blocks idx (Some b);
+              Table.set t.blocks idx (Some b);
               b
         in
         if Array.length b.b_insns = 0 then step t else exec_block t b
@@ -1220,8 +1266,8 @@ module Make (M : MODE) = struct
     if ic.ic_pc = tgt || ic.ic_pc = -1 then begin
       if tgt land 3 = 0 then
         let idx = (tgt - t.blk_base) lsr 2 in
-        if idx >= 0 && idx < Array.length t.cblocks then
-          match Array.unsafe_get t.cblocks idx with
+        if idx >= 0 && idx < Table.length t.cblocks then
+          match Table.get t.cblocks idx with
           | Some cb when cb.cb_n > 0 ->
               ic.ic_pc <- tgt;
               ic.ic_epoch <- t.flush_epoch;
@@ -1765,7 +1811,7 @@ module Make (M : MODE) = struct
      re-fetched, so [blocks_built] is unchanged. *)
   let link_superblock t pred pidx succ =
     let sb = compile_block ~link:succ t pred.cb_blk in
-    Array.unsafe_set t.cblocks pidx (Some sb);
+    Table.set t.cblocks pidx (Some sb);
     t.sblocks <- (pidx, sb) :: t.sblocks;
     t.n_superblocks <- t.n_superblocks + 1;
     sb
@@ -1782,17 +1828,17 @@ module Make (M : MODE) = struct
     else begin
       let pc0 = t.pc in
       let idx = (pc0 - t.blk_base) lsr 2 in
-      if pc0 land 3 <> 0 || idx >= Array.length t.cblocks then begin
+      if pc0 land 3 <> 0 || idx >= Table.length t.cblocks then begin
         t.prev_cb <- None;
         step t
       end
       else
         let cb =
-          match Array.unsafe_get t.cblocks idx with
+          match Table.get t.cblocks idx with
           | Some cb -> cb
           | None ->
               let cb = compile_block t (build_block t pc0) in
-              Array.unsafe_set t.cblocks idx (Some cb);
+              Table.set t.cblocks idx (Some cb);
               cb
         in
         if cb.cb_n = 0 then begin
@@ -1820,7 +1866,7 @@ module Make (M : MODE) = struct
                       && not (ends_in_jalr p.cb_blk)
                     then begin
                       let pidx = (p.cb_pc - t.blk_base) lsr 2 in
-                      match Array.unsafe_get t.cblocks pidx with
+                      match Table.get t.cblocks pidx with
                       | Some cur when cur == p ->
                           let sb = link_superblock t p pidx cb in
                           if p.cb_pc = pc0 then sb else cb

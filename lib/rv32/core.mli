@@ -201,10 +201,11 @@ module type S = sig
   val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
   (** Install (or remove) a tag-merge observer, called as [f a b r] for
       every LUB the core computes during tag propagation ([r = lub a b],
-      including trivial joins where [r] equals an input — filter
-      downstream). Never called on the untainted fast path (no LUBs
-      happen there) or on the plain VP (no tracking). One load-and-branch
-      per LUB when unset; used by the provenance tracker. *)
+      including trivial joins where [r] equals one input — filter
+      downstream; a join of two equal tags is not computed and not
+      reported). Never called on the untainted fast path (no LUBs happen
+      there) or on the plain VP (no tracking). One load-and-branch per LUB
+      when unset; used by the provenance tracker. *)
 
   (** {1 Block cache and fast path} *)
 

@@ -1,6 +1,10 @@
 type t = {
   mem_base : int;
-  mem : Bytes.t;
+  mem_size : int;
+  (* 4 KiB pages, each allocated on its first write; an empty page reads
+     as zeros. Byte at a time and written out here rather than borrowed
+     from Ram: the model shares no code with the path it checks. *)
+  pages : Bytes.t array;
   regs : int array;
   mutable pc : int;
   mutable retired : int;
@@ -19,10 +23,14 @@ type t = {
 
 type stop = Exited of int | Trap of int | Limit
 
+let page_bits = 12
+let page_mask = (1 lsl page_bits) - 1
+
 let create ~mem_base ~mem_size =
   {
     mem_base;
-    mem = Bytes.make mem_size '\000';
+    mem_size;
+    pages = Array.make ((mem_size + page_mask) lsr page_bits) Bytes.empty;
     regs = Array.make 32 0;
     pc = mem_base;
     retired = 0;
@@ -36,17 +44,42 @@ let create ~mem_base ~mem_size =
     mtval = 0;
   }
 
+let get_byte t off =
+  let pg = t.pages.(off lsr page_bits) in
+  if Bytes.length pg = 0 then 0 else Bytes.get_uint8 pg (off land page_mask)
+
+let set_byte t off v =
+  let i = off lsr page_bits in
+  if Bytes.length t.pages.(i) = 0 then t.pages.(i) <- Bytes.make (page_mask + 1) '\000';
+  Bytes.set_uint8 t.pages.(i) (off land page_mask) (v land 0xff)
+
+(* Little-endian, [width] bytes from local offset [off]. *)
+let get_le t off width =
+  let v = ref 0 in
+  for i = width - 1 downto 0 do
+    v := (!v lsl 8) lor get_byte t (off + i)
+  done;
+  !v
+
+let set_le t off width v =
+  for i = 0 to width - 1 do
+    set_byte t (off + i) (v lsr (8 * i))
+  done
+
 let load t ~addr s =
-  if addr < t.mem_base || addr + String.length s > t.mem_base + Bytes.length t.mem
+  if addr < t.mem_base || addr + String.length s > t.mem_base + t.mem_size
   then invalid_arg "Golden.load: out of range";
-  Bytes.blit_string s 0 t.mem (addr - t.mem_base) (String.length s)
+  String.iteri (fun i c -> set_byte t (addr - t.mem_base + i) (Char.code c)) s
 
 let set_pc t v = t.pc <- v land 0xffffffff
 let set_reg t r v = if r <> 0 then t.regs.(r) <- v land 0xffffffff
 let reg t r = t.regs.(r)
 let pc t = t.pc
 let priv t = t.priv
-let mem_byte t addr = Bytes.get_uint8 t.mem (addr - t.mem_base)
+let mem_byte t addr =
+  if addr < t.mem_base || addr >= t.mem_base + t.mem_size then
+    invalid_arg "Golden.mem_byte: out of range";
+  get_byte t (addr - t.mem_base)
 
 let u32 v = v land 0xffffffff
 let s32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
@@ -55,23 +88,15 @@ exception Stop of stop
 exception Mem_fault of { cause : int; addr : int }
 
 let in_range t addr width =
-  addr >= t.mem_base && addr + width <= t.mem_base + Bytes.length t.mem
+  addr >= t.mem_base && addr + width <= t.mem_base + t.mem_size
 
 let load_v t width addr =
   if not (in_range t addr width) then raise_notrace (Mem_fault { cause = 5; addr });
-  let off = addr - t.mem_base in
-  match width with
-  | 1 -> Bytes.get_uint8 t.mem off
-  | 2 -> Bytes.get_uint16_le t.mem off
-  | _ -> Int32.to_int (Bytes.get_int32_le t.mem off) land 0xffffffff
+  get_le t (addr - t.mem_base) width
 
 let store_v t width addr v =
   if not (in_range t addr width) then raise_notrace (Mem_fault { cause = 7; addr });
-  let off = addr - t.mem_base in
-  match width with
-  | 1 -> Bytes.set_uint8 t.mem off (v land 0xff)
-  | 2 -> Bytes.set_uint16_le t.mem off (v land 0xffff)
-  | _ -> Bytes.set_int32_le t.mem off (Int32.of_int v)
+  set_le t (addr - t.mem_base) width v
 
 (* A synchronous trap: with no handler installed the run stops (the
    pre-privilege convention, kept for programs that never touch mtvec);
@@ -164,7 +189,7 @@ let step t =
   if pc0 land 3 <> 0 then enter_trap t ~cause:0 ~tval:pc0 ~epc:pc0
   else if not (in_range t pc0 4) then enter_trap t ~cause:1 ~tval:pc0 ~epc:pc0
   else begin
-    let word = Int32.to_int (Bytes.get_int32_le t.mem (pc0 - t.mem_base)) land 0xffffffff in
+    let word = get_le t (pc0 - t.mem_base) 4 in
     let r = t.regs in
     let wr rd v = if rd <> 0 then r.(rd) <- u32 v in
     t.pc <- u32 (pc0 + 4);

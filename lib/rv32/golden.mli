@@ -1,5 +1,5 @@
 (** A golden-model RV32IM interpreter: an independent, deliberately naive
-    re-implementation of the ISA semantics over a flat memory image, with
+    re-implementation of the ISA semantics over a sparse memory image, with
     no taint, no kernel, no peripherals and no decode caching.
 
     Used purely for differential verification of the production {!Core}

@@ -39,38 +39,70 @@ let put_string w s =
 (* RLE: total length, then ops until exhausted. Op 0 = run (u32 count,
    u8 byte), op 1 = literal (u32 len, raw bytes). Runs shorter than 8
    bytes go into the surrounding literal: below that the run op's 6-byte
-   overhead loses. *)
+   overhead loses.
+
+   The encoder is fed maximal runs in order, so a sparse image (see
+   [Rv32.Ram]) can hand over a whole untouched page as one run without
+   scanning it; the output depends only on the flat byte sequence. *)
 let min_run = 8
+
+type rle = {
+  rw : writer;
+  r_len : int;
+  mutable r_pos : int;
+  mutable r_last : int;  (* byte of the previous run; -1 before the first *)
+  lit : Buffer.t;  (* pending literal: the short runs since the last long one *)
+}
+
+let rle_start w ~len =
+  put_u32 w len;
+  { rw = w; r_len = len; r_pos = 0; r_last = -1; lit = Buffer.create 64 }
+
+let flush_literal e =
+  let n = Buffer.length e.lit in
+  if n > 0 then begin
+    put_u8 e.rw 1;
+    put_u32 e.rw n;
+    Buffer.add_buffer e.rw e.lit;
+    Buffer.clear e.lit
+  end
+
+let rle_run e n c =
+  let b = Char.code c in
+  if n <= 0 || b = e.r_last || e.r_pos + n > e.r_len then
+    invalid_arg "Codec.rle_run: runs must be non-empty, maximal and in bounds";
+  if n >= min_run then begin
+    flush_literal e;
+    put_u8 e.rw 0;
+    put_u32 e.rw n;
+    put_u8 e.rw b
+  end
+  else
+    for _ = 1 to n do
+      Buffer.add_char e.lit c
+    done;
+  e.r_pos <- e.r_pos + n;
+  e.r_last <- b
+
+let rle_finish e =
+  if e.r_pos <> e.r_len then
+    invalid_arg "Codec.rle_finish: runs do not cover the declared length";
+  flush_literal e
 
 let put_bytes_rle w b =
   let n = Bytes.length b in
-  put_u32 w n;
+  let e = rle_start w ~len:n in
   let i = ref 0 in
-  let lit_start = ref 0 in
-  let flush_literal upto =
-    if upto > !lit_start then begin
-      put_u8 w 1;
-      put_u32 w (upto - !lit_start);
-      Buffer.add_subbytes w b !lit_start (upto - !lit_start)
-    end
-  in
   while !i < n do
     let c = Bytes.unsafe_get b !i in
     let j = ref (!i + 1) in
     while !j < n && Bytes.unsafe_get b !j = c do
       incr j
     done;
-    let run = !j - !i in
-    if run >= min_run then begin
-      flush_literal !i;
-      put_u8 w 0;
-      put_u32 w run;
-      put_u8 w (Char.code c);
-      lit_start := !j
-    end;
+    rle_run e (!j - !i) c;
     i := !j
   done;
-  flush_literal n
+  rle_finish e
 
 let put_list w f xs =
   put_u32 w (List.length xs);
@@ -135,28 +167,35 @@ let get_string r =
   r.pos <- r.pos + n;
   s
 
-let get_bytes_rle_into r dst =
+(* Every check happens before the sink call it guards, so sinks may
+   write unchecked: [fill off count c] and [blit src pos off len] always
+   satisfy [0 <= off], [off + count <= len] and [pos + len <= |src|]. *)
+let get_rle r ~len ~fill ~blit =
   let n = get_u32 r in
-  if n <> Bytes.length dst then
-    corrupt "RLE block is %d bytes, destination holds %d" n (Bytes.length dst);
+  if n <> len then corrupt "RLE block is %d bytes, destination holds %d" n len;
   let off = ref 0 in
   while !off < n do
     match get_u8 r with
     | 0 ->
         let count = get_u32 r in
         let c = Char.chr (get_u8 r) in
-        if !off + count > n then corrupt "RLE run overflows block";
-        Bytes.fill dst !off count c;
+        if count > n - !off then corrupt "RLE run overflows block";
+        fill !off count c;
         off := !off + count
     | 1 ->
-        let len = get_u32 r in
-        if !off + len > n then corrupt "RLE literal overflows block";
-        need r len;
-        Bytes.blit_string r.src r.pos dst !off len;
-        r.pos <- r.pos + len;
-        off := !off + len
+        let k = get_u32 r in
+        if k > n - !off then corrupt "RLE literal overflows block";
+        need r k;
+        blit r.src r.pos !off k;
+        r.pos <- r.pos + k;
+        off := !off + k
     | op -> corrupt "bad RLE opcode 0x%02x" op
   done
+
+let get_bytes_rle_into r dst =
+  get_rle r ~len:(Bytes.length dst)
+    ~fill:(fun off count c -> Bytes.unsafe_fill dst off count c)
+    ~blit:(fun src pos off len -> Bytes.unsafe_blit_string src pos dst off len)
 
 let get_list r f =
   let n = get_u32 r in

@@ -39,6 +39,23 @@ val put_bytes_rle : writer -> Bytes.t -> unit
     zeros, tag arrays mostly bottom) collapse to a few bytes; incompressible
     stretches are stored as literals. *)
 
+type rle
+(** A streaming RLE encoder: emits exactly what {!put_bytes_rle} emits
+    over the concatenation of the runs it is fed, so a sparse image can
+    describe an untouched stretch as one run without materialising it. *)
+
+val rle_start : writer -> len:int -> rle
+(** Begin a block of [len] bytes (writes the length header). *)
+
+val rle_run : rle -> int -> char -> unit
+(** [rle_run e n c]: the next [n] bytes are all [c]. Runs must be maximal
+    (a run's byte differs from the previous run's), non-empty and within
+    the declared length; raises [Invalid_argument] otherwise. *)
+
+val rle_finish : rle -> unit
+(** Flush the pending literal. Raises [Invalid_argument] unless the runs
+    covered exactly the declared length. *)
+
 val put_list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 (** u32 count followed by the elements in order. *)
 
@@ -65,6 +82,19 @@ val get_varint : reader -> int
 (** Raises {!Corrupt} if the encoding overflows the OCaml [int] range. *)
 
 val get_string : reader -> string
+
+val get_rle :
+  reader ->
+  len:int ->
+  fill:(int -> int -> char -> unit) ->
+  blit:(string -> int -> int -> int -> unit) ->
+  unit
+(** Decode an RLE block of exactly [len] bytes into caller-managed
+    storage: [fill off count c] for each run, [blit src pos off n] for
+    each literal ([n] bytes of [src] from [pos]), in ascending [off].
+    Every argument is validated before the call ([off + count <= len],
+    [pos + n <= String.length src]), so sinks may write unchecked; any
+    malformed, truncated or overflowing input raises {!Corrupt}. *)
 
 val get_bytes_rle_into : reader -> Bytes.t -> unit
 (** Decodes into [dst]; raises {!Corrupt} if the encoded length differs

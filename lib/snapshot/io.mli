@@ -15,7 +15,8 @@
 
 val read_file : string -> string
 (** Read a whole file (binary mode). The descriptor is closed even when
-    the read raises. *)
+    the read raises; a missing or unreadable file raises [Sys_error], a
+    file that shrinks while read raises [End_of_file]. *)
 
 val write_file_atomic : string -> string -> unit
 (** [write_file_atomic path data] writes [data] to a fresh temp file

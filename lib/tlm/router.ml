@@ -33,31 +33,36 @@ let map r ~lo ~hi target =
   Array.sort (fun a b -> compare a.lo b.lo) a;
   r.sorted <- a
 
+(* Index into [sorted] of the entry containing [addr], or -1. Allocation
+   free: it runs on every routed transaction. *)
 let find r addr =
   let a = r.sorted in
   (* Rightmost entry with [lo <= addr], then a single containment check. *)
-  let rec go lo hi best =
-    if lo > hi then best
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid).lo <= addr then go (mid + 1) hi (Some a.(mid))
-      else go lo (mid - 1) best
-  in
-  match go 0 (Array.length a - 1) None with
-  | Some e when addr <= e.hi -> Some e
-  | _ -> None
+  let lo = ref 0 and hi = ref (Array.length a - 1) and best = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if (Array.unsafe_get a mid).lo <= addr then begin
+      best := mid;
+      lo := mid + 1
+    end
+    else hi := mid - 1
+  done;
+  if !best >= 0 && addr <= (Array.unsafe_get a !best).hi then !best else -1
 
 let resolve r addr =
   match find r addr with
-  | Some e -> Some (e.target, addr - e.lo)
-  | None -> None
+  | -1 -> None
+  | i ->
+      let e = r.sorted.(i) in
+      Some (e.target, addr - e.lo)
 
 let route r payload delay =
   match find r payload.Payload.addr with
-  | None ->
+  | -1 ->
       payload.Payload.resp <- Payload.Address_error;
       delay
-  | Some e ->
+  | i ->
+      let e = Array.unsafe_get r.sorted i in
       let global = payload.Payload.addr in
       payload.Payload.addr <- global - e.lo;
       let delay = Socket.call e.target payload delay in

@@ -30,6 +30,8 @@ let observed t e =
   (match t.on_record with None -> () | Some f -> f e);
   match t.on_graph with None -> () | Some f -> f e
 
+let no_text = ""
+
 let record_insn t ~time ~pc ~word ~tag ~tainted =
   let e = Ring.emit t.ring in
   e.Event.time <- time;
@@ -38,7 +40,9 @@ let record_insn t ~time ~pc ~word ~tag ~tainted =
   e.Event.data <- word;
   e.Event.tag <- tag;
   e.Event.tainted <- tainted;
-  e.Event.text <- "";
+  (* Most slots already hold this very string (instructions dominate
+     the stream): skip the write barrier then. *)
+  if e.Event.text != no_text then e.Event.text <- no_text;
   observed t e
 
 let record_tlm t ~time ~write ~addr ~len ~tag ~target =

@@ -57,7 +57,7 @@ let check_in a ~tag ~detail =
             data_tag = tag;
             required_tag = required;
             pc = None;
-            detail;
+            detail = detail ();
           }
 
 let encrypt a =
@@ -104,7 +104,7 @@ let transport a (p : Tlm.Payload.t) delay =
   | Tlm.Payload.Write when addr + len <= 0x10 ->
       for i = 0 to len - 1 do
         let tag = Tlm.Payload.get_tag p i in
-        check_in a ~tag ~detail:(Printf.sprintf "key byte %d" (addr + i));
+        check_in a ~tag ~detail:(fun () -> Printf.sprintf "key byte %d" (addr + i));
         Bytes.set a.key (addr + i) (Char.chr (Tlm.Payload.get_byte p i));
         Bytes.set a.key_tags (addr + i) (Char.chr tag)
       done

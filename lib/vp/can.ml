@@ -72,7 +72,7 @@ let transport c (p : Tlm.Payload.t) delay =
         let tag = Tlm.Payload.get_tag p i in
         (* The CAN bus is an output interface: check clearance per byte. *)
         Env.check_output c.env ~port:c.port ~data_tag:tag
-          ~detail:(Printf.sprintf "%s tx byte %d" c.name (addr + i));
+          ~detail:(fun () -> Printf.sprintf "%s tx byte %d" c.name (addr + i));
         Bytes.set c.txd (addr + i) (Char.chr (Tlm.Payload.get_byte p i));
         Bytes.set c.txd_tags (addr + i) (Char.chr tag)
       done

@@ -42,7 +42,7 @@ let check_output env ~port ~data_tag ~detail =
             data_tag;
             required_tag = required;
             pc = None;
-            detail;
+            detail = detail ();
           }
 
 let declassify env ~where ~from_tag to_tag =

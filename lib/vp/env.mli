@@ -25,10 +25,12 @@ val taint_via : t -> channel:string -> Dift.Lattice.tag -> unit
 (** Note that tagged data travelled through a named transfer channel
     (e.g. the DMA engine). Same no-op conventions as {!taint_source}. *)
 
-val check_output : t -> port:string -> data_tag:Dift.Lattice.tag -> detail:string -> unit
+val check_output :
+  t -> port:string -> data_tag:Dift.Lattice.tag -> detail:(unit -> string) -> unit
 (** Clearance check at a named output interface: looks up the port's
     required class in the policy (no check if undeclared) and reports a
-    violation to the monitor on failure. *)
+    violation to the monitor on failure. [detail] is formatted only then:
+    the check runs on every byte a peripheral emits. *)
 
 val declassify : t -> where:string -> from_tag:Dift.Lattice.tag -> Dift.Lattice.tag -> Dift.Lattice.tag
 (** [declassify env ~where ~from_tag to_tag] records the declassification

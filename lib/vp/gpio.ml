@@ -76,7 +76,7 @@ let transport g (p : Tlm.Payload.t) delay =
   | 0x04, Tlm.Payload.Write ->
       let tag = word_tag () in
       Env.check_output g.env ~port:g.port ~data_tag:tag
-        ~detail:(Printf.sprintf "%s output latch" g.name);
+        ~detail:(fun () -> Printf.sprintf "%s output latch" g.name);
       g.out <- get () land g.dir;
       g.out_tag <- tag
   | 0x08, Tlm.Payload.Read -> put g.inp g.inp_tag

@@ -1,7 +1,6 @@
 type t = {
   name : string;
-  data : Bytes.t;
-  tags : Bytes.t;
+  ram : Rv32.Ram.t;
   latency : Sysc.Time.t;
   (* Fired with (offset, len) after any mutation of data or tags that does
      not go through the CPU's DMI path: TLM writes (DMA, peripherals), the
@@ -10,61 +9,52 @@ type t = {
   mutable on_write : int -> int -> unit;
 }
 
+module Ram = Rv32.Ram
+
 let create env ~name ~size =
   {
     name;
-    data = Bytes.make size '\000';
-    tags = Bytes.make size (Char.chr env.Env.pub);
+    ram = Ram.create ~size ~default_tag:env.Env.pub;
     latency = Sysc.Time.ns 5;
     on_write = (fun _ _ -> ());
   }
 
-let size m = Bytes.length m.data
-let data m = m.data
-let tags m = m.tags
+let size m = Ram.size m.ram
+let ram m = m.ram
 let set_write_hook m f = m.on_write <- f
-let read_byte m off = Bytes.get_uint8 m.data off
+let read_byte m off = Ram.get (Ram.data m.ram) ~width:1 off
 
 let write_byte m off v =
-  Bytes.set_uint8 m.data off (v land 0xff);
+  Ram.set (Ram.data m.ram) ~width:1 off v;
   m.on_write off 1
 
-let read_tag m off = Char.code (Bytes.get m.tags off)
+let read_tag m off = Ram.get (Ram.tags m.ram) ~width:1 off
 
 let write_tag m off t =
-  Bytes.set m.tags off (Char.chr t);
+  Ram.set (Ram.tags m.ram) ~width:1 off t;
   m.on_write off 1
 
-let read_word m off = Int32.to_int (Bytes.get_int32_le m.data off) land 0xffffffff
+let read_word m off = Ram.get (Ram.data m.ram) ~width:4 off
 
 let write_word m off v =
-  Bytes.set_int32_le m.data off (Int32.of_int v);
+  Ram.set (Ram.data m.ram) ~width:4 off v;
   m.on_write off 4
 
 let fill_tags m ~off ~len t =
-  Bytes.fill m.tags off len (Char.chr t);
+  Ram.fill (Ram.tags m.ram) ~off ~len t;
   if len > 0 then m.on_write off len
 
 let load m ~off src =
   let len = Bytes.length src in
-  Bytes.blit src 0 m.data off len;
+  Ram.blit_in src 0 (Ram.data m.ram) off len;
   if len > 0 then m.on_write off len
 
 let tainted_regions m ~baseline =
-  let n = size m in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let t = read_tag m !i in
-    if t <> baseline then begin
-      let start = !i in
-      while !i < n && read_tag m !i = t do
-        incr i
-      done;
-      out := (start, !i - 1, t) :: !out
-    end
-    else incr i
-  done;
+  let out = ref [] and pos = ref 0 in
+  Ram.iter_runs (Ram.tags m.ram) (fun n c ->
+      let t = Char.code c in
+      if t <> baseline then out := (!pos, !pos + n - 1, t) :: !out;
+      pos := !pos + n);
   List.rev !out
 
 let transport m (p : Tlm.Payload.t) delay =
@@ -77,26 +67,22 @@ let transport m (p : Tlm.Payload.t) delay =
   else begin
     (match p.Tlm.Payload.cmd with
     | Tlm.Payload.Read ->
-        Bytes.blit m.data off p.Tlm.Payload.data 0 len;
-        Bytes.blit m.tags off p.Tlm.Payload.tags 0 len
+        Ram.blit_out (Ram.data m.ram) off p.Tlm.Payload.data 0 len;
+        Ram.blit_out (Ram.tags m.ram) off p.Tlm.Payload.tags 0 len
     | Tlm.Payload.Write ->
-        Bytes.blit p.Tlm.Payload.data 0 m.data off len;
-        Bytes.blit p.Tlm.Payload.tags 0 m.tags off len;
+        Ram.blit_in p.Tlm.Payload.data 0 (Ram.data m.ram) off len;
+        Ram.blit_in p.Tlm.Payload.tags 0 (Ram.tags m.ram) off len;
         if len > 0 then m.on_write off len);
     p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
     Sysc.Time.add delay m.latency
   end
 
 let socket m = Tlm.Socket.target ~name:m.name (transport m)
-
-let save m w =
-  Snapshot.Codec.put_bytes_rle w m.data;
-  Snapshot.Codec.put_bytes_rle w m.tags
+let save m w = Ram.save m.ram w
 
 (* [load] is taken by the image loader above. *)
 let restore m r =
-  Snapshot.Codec.get_bytes_rle_into r m.data;
-  Snapshot.Codec.get_bytes_rle_into r m.tags;
+  Ram.restore m.ram r;
   (* Everything may have changed: let the write hook (basic-block cache
      invalidation) see the full range. *)
   if size m > 0 then m.on_write 0 (size m)

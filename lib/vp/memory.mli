@@ -1,16 +1,15 @@
-(** Tainted RAM: parallel value and tag byte arrays, accessible through a
-    TLM target socket and (for speed) exposed to the core's DMI fast path. *)
+(** Tainted RAM: a sparse {!Rv32.Ram} of value and tag bytes, accessible
+    through a TLM target socket and (for speed) exposed to the core's DMI
+    fast path. *)
 
 type t
 
 val create : Env.t -> name:string -> size:int -> t
 
 val size : t -> int
-val data : t -> Bytes.t
-(** Backing value bytes (for DMI registration and the loader). *)
-
-val tags : t -> Bytes.t
-(** Backing tag bytes. *)
+val ram : t -> Rv32.Ram.t
+(** The backing pages (for DMI registration). Writes made through it
+    bypass the write hook. *)
 
 val socket : t -> Tlm.Socket.target
 (** Target socket with a configurable per-access latency. *)
@@ -28,7 +27,8 @@ val fill_tags : t -> off:int -> len:int -> Dift.Lattice.tag -> unit
 
 val load : t -> off:int -> Bytes.t -> unit
 (** Blit [src] into the value bytes at [off], firing the write hook (the
-    loader's entry point; raw {!data} blits would bypass invalidation). *)
+    loader's entry point; writes through {!ram} would bypass
+    invalidation). *)
 
 val set_write_hook : t -> (int -> int -> unit) -> unit
 (** Install a callback fired with [(offset, len)] after every mutation of

@@ -151,8 +151,7 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
   in
   Tlm.Socket.bind (Rv32.Bus_if.socket bus) (Tlm.Router.target_socket router);
   if dmi then
-    Rv32.Bus_if.set_dmi bus ~base:ram_base ~data:(Memory.data memory)
-      ~tags:(Memory.tags memory);
+    Rv32.Bus_if.set_dmi bus ~base:ram_base ~ram:(Memory.ram memory);
   Tlm.Socket.bind (Dma.initiator dma) (Tlm.Router.target_socket router);
   let cpu =
     if tracking then
@@ -210,7 +209,9 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
                let len = Tlm.Payload.length p in
                let tag = ref (Tlm.Payload.get_tag p 0) in
                for i = 1 to len - 1 do
-                 tag := Dift.Lattice.lub lat !tag (Tlm.Payload.get_tag p i)
+                 (* Equal tags join to themselves: no lookup. *)
+                 let x = Tlm.Payload.get_tag p i in
+                 if x <> !tag then tag := Dift.Lattice.lub lat !tag x
                done;
                Trace.Tracer.record_tlm tr ~time:(now ())
                  ~write:(p.Tlm.Payload.cmd = Tlm.Payload.Write)
@@ -240,18 +241,17 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
         (* Retired instructions: the internal ring push composes with any
            externally installed per-instruction hook (coverage, --echo-insns)
            through the returned record's [cpu_set_trace]. *)
-        let data = Memory.data memory in
+        let code = Rv32.Ram.data (Memory.ram memory) in
         let mem_size = Memory.size memory in
         let internal_hook pc insn =
           let off = pc - ram_base in
           let word =
-            if off >= 0 && off + 3 < mem_size then
-              Int32.to_int (Bytes.get_int32_le data off) land 0xffffffff
+            if off >= 0 && off + 3 < mem_size then Rv32.Ram.get code ~width:4 off
             else 0
           in
           let t1 = cpu.cpu_get_reg_tag (Rv32.Insn.rs1 insn) in
           let t2 = cpu.cpu_get_reg_tag (Rv32.Insn.rs2 insn) in
-          let tag = Dift.Lattice.lub lat t1 t2 in
+          let tag = if t1 = t2 then t1 else Dift.Lattice.lub lat t1 t2 in
           Trace.Tracer.record_insn tr ~time:(now ()) ~pc ~word ~tag
             ~tainted:(tag <> pub)
         in

@@ -50,7 +50,7 @@ let transport u (p : Tlm.Payload.t) delay =
       let byte = Tlm.Payload.get_byte p 0 in
       let tag = Tlm.Payload.get_tag p 0 in
       Env.check_output u.env ~port:u.port ~data_tag:tag
-        ~detail:(Printf.sprintf "%s tx byte 0x%02x" u.name byte);
+        ~detail:(fun () -> Printf.sprintf "%s tx byte 0x%02x" u.name byte);
       u.tx <- (Char.chr byte, tag) :: u.tx;
       ok ()
   | 0x04, Tlm.Payload.Read ->

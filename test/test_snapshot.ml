@@ -304,6 +304,71 @@ let test_save_resume_bit_identical () =
   check_bool "restore/save is the identity on snapshots" true
     (String.equal mid (Vp.Soc.save soc3))
 
+(* --- restore into a used SoC ------------------------------------------- *)
+
+(* A store loop over three RAM pages, run twice with different values. *)
+let page_walker () =
+  let module A = Rv32_asm.Asm in
+  let module R = Rv32.Reg in
+  let p = A.create () in
+  A.li p R.s1 1;
+  A.label p "pass";
+  A.li p R.t0 (Vp.Soc.ram_base + 0x10000);
+  A.li p R.t2 (Vp.Soc.ram_base + 0x1c000);
+  A.label p "loop";
+  A.sw p R.s1 R.t0 0;
+  A.addi p R.t0 R.t0 4;
+  A.blt_l p R.t0 R.t2 "loop";
+  A.addi p R.s1 R.s1 1;
+  A.li p R.t1 3;
+  A.blt_l p R.s1 R.t1 "pass";
+  A.li p R.a0 0;
+  A.li p R.a7 93;
+  A.ecall p;
+  A.assemble p
+
+(* Restoring over a SoC that has run on since the snapshot: the pages its
+   run copied since and the chains it compiled must all give way to the
+   snapshot, and the continuation must reach the uninterrupted run's final
+   state. (The kernel restores pending notifications, not process
+   positions, so the used SoC is rewound from a later pause of the same
+   run, where every process waits where it waited at the snapshot.) *)
+let test_restore_into_used_soc () =
+  let img = page_walker () in
+  let soc () =
+    let policy = integrity_policy () in
+    let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
+    let soc = Vp.Soc.create ~policy ~monitor ~quantum:100 () in
+    Vp.Soc.load_image soc img;
+    soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 1_000_000;
+    soc
+  in
+  let pages s = Rv32.Ram.private_pages (Vp.Memory.ram s.Vp.Soc.memory) in
+  let soc0 = soc () in
+  Vp.Soc.start soc0;
+  Vp.Soc.run soc0;
+  expect_exit (soc0.Vp.Soc.cpu.Vp.Soc.cpu_exit ()) 0;
+  let final0 = Vp.Soc.save soc0 in
+  let soc1 = soc () in
+  Vp.Soc.pause_at soc1 2_000;
+  Vp.Soc.start soc1;
+  Vp.Soc.run soc1;
+  let early = Vp.Soc.save soc1 in
+  let pages_early = pages soc1 in
+  Vp.Soc.pause_at soc1 30_000;
+  Vp.Soc.resume soc1;
+  check_bool "paused again later" true (Vp.Soc.paused soc1);
+  check_bool "the run copied pages since" true (pages soc1 > pages_early);
+  Vp.Soc.restore soc1 early;
+  check_bool "restore over a used SoC, then save, is the identity" true
+    (String.equal early (Vp.Soc.save soc1));
+  check_int "pages untouched at the snapshot are shared again" pages_early
+    (pages soc1);
+  Vp.Soc.resume soc1;
+  expect_exit (soc1.Vp.Soc.cpu.Vp.Soc.cpu_exit ()) 0;
+  check_bool "continuation reaches the straight run's final state" true
+    (String.equal final0 (Vp.Soc.save soc1))
+
 (* --- cross-engine restore ----------------------------------------------- *)
 
 (* A snapshot holds only architectural state: one saved under the
@@ -629,6 +694,8 @@ let () =
             test_save_resume_bit_identical;
           Alcotest.test_case "restore across engines (interp -> threaded)"
             `Quick test_restore_across_engines;
+          Alcotest.test_case "restore into an already-used SoC" `Quick
+            test_restore_into_used_soc;
         ] );
       ( "privilege",
         [
