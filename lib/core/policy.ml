@@ -47,7 +47,25 @@ let store_required_at p addr =
   | Some r -> Some (r.r_name, r.r_tag)
   | None -> None
 
-let output_required p port = List.assoc_opt port p.output_clearance
+(* The allocation-free lookups below are plain recursive walks: they run
+   per stored and per output byte, where a predicate closure or an option
+   would allocate. *)
+let rec store_clearance regions addr =
+  match regions with
+  | [] -> -1
+  | r :: rest ->
+      if addr >= r.lo && addr <= r.hi then r.r_tag
+      else store_clearance rest addr
+
+let store_clearance_at p addr = store_clearance p.store_clearance addr
+
+let rec port_clearance ports port =
+  match ports with
+  | [] -> -1
+  | (q, tag) :: rest ->
+      if String.equal q port then tag else port_clearance rest port
+
+let output_clearance_of p port = port_clearance p.output_clearance port
 
 let unrestricted lattice ~default_tag =
   make ~lattice ~default_tag ()

@@ -74,8 +74,15 @@ val store_required_at : t -> int -> (string * Lattice.tag) option
 (** Required integrity class for a store at [addr], if the address lies in a
     protected region. *)
 
-val output_required : t -> string -> Lattice.tag option
-(** Clearance of a named output interface, if declared. *)
+val store_clearance_at : t -> int -> Lattice.tag
+(** Like {!store_required_at}, but returns only the class, or [-1] outside
+    every protected region, and allocates nothing: the per-store check
+    calls it for every byte written. *)
+
+val output_clearance_of : t -> string -> Lattice.tag
+(** Clearance of a named output interface, or [-1] if the port declares
+    none. Allocation-free: output peripherals look it up for every byte
+    they emit. *)
 
 val unrestricted : Lattice.t -> default_tag:Lattice.tag -> t
 (** A policy with no checks at all (the plain-VP flavour). *)

@@ -71,6 +71,37 @@ let payload_for b = function
   | 4 -> b.p4
   | w -> invalid_arg (Printf.sprintf "Bus_if: unsupported access width %d" w)
 
+(* [tag * replicate.(w)] repeats a byte tag over [w] bytes. *)
+let replicate = [| 0; 0x1; 0x101; 0; 0x1010101 |]
+
+let join_tags b ~width tags t0 =
+  let t = ref t0 in
+  (* The merge hook is matched outside the byte loop so the common
+     (no-tracer) configuration keeps its original inner loop. *)
+  (match b.on_merge with
+  | None ->
+      for i = 1 to width - 1 do
+        t := Dift.Lattice.lub b.lat !t ((tags lsr (8 * i)) land 0xff)
+      done
+  | Some f ->
+      for i = 1 to width - 1 do
+        let x = (tags lsr (8 * i)) land 0xff in
+        let r = Dift.Lattice.lub b.lat !t x in
+        f !t x r;
+        t := r
+      done);
+  !t
+
+(* LUB of the [width] byte tags packed in [tags] (byte [i]'s in bits
+   8i..8i+7). Bytes that all carry one tag (the usual case) fold to it
+   without a join or a call. *)
+let[@inline] fold_tags b ~width tags =
+  let t0 = tags land 0xff in
+  if tags = t0 * replicate.(width) then t0 else join_tags b ~width tags t0
+
+(* The MMIO path moves values and tags a word at a time through the
+   width's preallocated payload: a routed load or store allocates
+   nothing. *)
 let mmio_load b ~width ~addr =
   let p = payload_for b width in
   p.Tlm.Payload.cmd <- Tlm.Payload.Read;
@@ -80,71 +111,27 @@ let mmio_load b ~width ~addr =
   let delay = Tlm.Socket.transport b.socket p Sysc.Time.zero in
   if not (Tlm.Payload.ok p) then raise (Bus_error { addr; write = false });
   b.acc_delay <- Sysc.Time.add b.acc_delay delay;
-  let v = ref 0 and t = ref (Tlm.Payload.get_tag p 0) in
-  for i = width - 1 downto 0 do
-    v := (!v lsl 8) lor Tlm.Payload.get_byte p i
-  done;
-  (match b.on_merge with
-  | None ->
-      for i = 1 to width - 1 do
-        t := Dift.Lattice.lub b.lat !t (Tlm.Payload.get_tag p i)
-      done
-  | Some f ->
-      for i = 1 to width - 1 do
-        let x = Tlm.Payload.get_tag p i in
-        let r = Dift.Lattice.lub b.lat !t x in
-        f !t x r;
-        t := r
-      done);
-  b.last_tag <- !t;
-  !v
+  b.last_tag <- fold_tags b ~width (Tlm.Payload.packed_tags p);
+  Tlm.Payload.get_word p
 
 let mmio_store b ~width ~addr ~value ~tag =
   let p = payload_for b width in
   p.Tlm.Payload.cmd <- Tlm.Payload.Write;
   p.Tlm.Payload.addr <- addr;
   p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
-  for i = 0 to width - 1 do
-    Tlm.Payload.set_byte p i ((value lsr (8 * i)) land 0xff);
-    Tlm.Payload.set_tag p i tag
-  done;
+  Tlm.Payload.set_word p value;
+  Tlm.Payload.set_all_tags p tag;
   let delay = Tlm.Socket.transport b.socket p Sysc.Time.zero in
   if not (Tlm.Payload.ok p) then raise (Bus_error { addr; write = true });
   b.acc_delay <- Sysc.Time.add b.acc_delay delay
-
-(* [tag * replicate.(w)] repeats a byte tag over [w] bytes. *)
-let replicate = [| 0; 0x1; 0x101; 0; 0x1010101 |]
 
 let load b ~width ~addr =
   match b.dmi with
   | Some d when addr >= d.base && addr + width - 1 <= d.limit ->
       let off = addr - d.base in
-      if b.tracking then begin
-        (* One read packs the byte tags, byte [i]'s in bits 8i..8i+7.
-           Bytes that all carry one tag (the usual case) fold to it
-           without a join. *)
-        let tags = Ram.get d.tags ~width off in
-        let t0 = tags land 0xff in
-        if tags = t0 * replicate.(width) then b.last_tag <- t0
-        else begin
-          let t = ref t0 in
-          (* The merge hook is matched outside the byte loop so the common
-             (no-tracer) configuration keeps its original inner loop. *)
-          (match b.on_merge with
-          | None ->
-              for i = 1 to width - 1 do
-                t := Dift.Lattice.lub b.lat !t ((tags lsr (8 * i)) land 0xff)
-              done
-          | Some f ->
-              for i = 1 to width - 1 do
-                let x = (tags lsr (8 * i)) land 0xff in
-                let r = Dift.Lattice.lub b.lat !t x in
-                f !t x r;
-                t := r
-              done);
-          b.last_tag <- !t
-        end
-      end;
+      (* One read packs the byte tags. *)
+      if b.tracking then
+        b.last_tag <- fold_tags b ~width (Ram.get d.tags ~width off);
       Ram.get d.data ~width off
   | Some _ | None ->
       b.last_tag <- b.default_tag;

@@ -55,8 +55,8 @@ val set_merge_hook : t -> (int -> int -> int -> unit) option -> unit
 (** Install (or clear) a tag-merge observer, called as [f a b r] for each
     LUB taken while folding byte tags of a multi-byte load (both the DMI
     and the MMIO path). Trivial joins ([r] equal to an input) are
-    reported too; filter downstream. A DMI load whose bytes all carry one
-    tag takes no join and reports nothing. Used by the provenance
+    reported too; filter downstream. A load whose bytes all carry one tag
+    takes no join and reports nothing. Used by the provenance
     tracker; the no-observer configuration keeps the original fold
     loop. *)
 

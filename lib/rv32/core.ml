@@ -60,6 +60,7 @@ module type S = sig
   val set_pc : t -> int -> unit
   val get_reg : t -> Reg.t -> int
   val get_reg_tag : t -> Reg.t -> Dift.Lattice.tag
+  val reg_tags : t -> Dift.Lattice.tag array
   val set_reg : t -> Reg.t -> int -> unit
   val set_reg_tagged : t -> Reg.t -> int -> Dift.Lattice.tag -> unit
   val csr : t -> Csr.t
@@ -271,12 +272,12 @@ module Make (M : MODE) = struct
     mutable fast : bool;
     (* Superblock chaining (Threaded_superblock engine): [prev_cb] is the
        chain that ran in the previous scheduling round (exit-edge
-       profiling), [sblocks] the registry of slots currently holding a
-       recompiled superblock — their spans cover two blocks, so
-       invalidation scans the registry in addition to the positional
-       window. *)
+       profiling; [no_cb] when none did), [sblocks] the registry of slots
+       currently holding a recompiled superblock — their spans cover two
+       blocks, so invalidation scans the registry in addition to the
+       positional window. *)
     superblocks : bool;
-    mutable prev_cb : cblock option;
+    mutable prev_cb : cblock;
     mutable sblocks : (int * cblock) list;
     mutable n_blocks : int;
     mutable n_superblocks : int;
@@ -306,6 +307,30 @@ module Make (M : MODE) = struct
        trap instructions are breakers), so installing it needs no flush. *)
     mutable on_trap : (trap_event -> unit) option;
   }
+
+  (* [prev_cb] when no chain ran in the previous round: storing it
+     instead of an option keeps the dispatcher allocation-free. It is
+     marked linked, so exit-edge profiling never updates it. *)
+  let no_cb =
+    {
+      cb_pc = -1;
+      cb_n = 0;
+      cb_full = (fun () -> ());
+      cb_fast = None;
+      cb_blk =
+        {
+          b_pc = -1;
+          b_insns = [||];
+          b_words = [||];
+          b_tags = [||];
+          b_fast = false;
+        };
+      cb_lo = 0;
+      cb_hi = -1;
+      cb_edge_pc = -1;
+      cb_edge_n = 0;
+      cb_linked = true;
+    }
 
   (* Invalidate every cached block overlapping [addr .. addr+len-1] (the
      caller already wrote the bytes). Cheap when the write is outside any
@@ -444,7 +469,7 @@ module Make (M : MODE) = struct
         fast_spec;
         fast = false;
         superblocks = (engine = Threaded_superblock && cache_entries > 0);
-        prev_cb = None;
+        prev_cb = no_cb;
         sblocks = [];
         n_blocks = 0;
         n_superblocks = 0;
@@ -477,6 +502,7 @@ module Make (M : MODE) = struct
   let set_pc t v = t.pc <- mask32 v
   let get_reg t r = t.regs.(r)
   let get_reg_tag t r = t.rtags.(r)
+  let reg_tags t = t.rtags
 
   let set_reg_tagged t r v tag =
     if r <> 0 then begin
@@ -511,7 +537,7 @@ module Make (M : MODE) = struct
       t.flush_epoch <- t.flush_epoch + 1;
       Table.clear t.cblocks;
       t.sblocks <- [];
-      t.prev_cb <- None
+      t.prev_cb <- no_cb
     end
   let set_merge_hook t fn = t.on_merge <- fn
   let blocks_built t = t.n_blocks
@@ -542,61 +568,60 @@ module Make (M : MODE) = struct
       r
     end
 
-  (* The detail string is built lazily: these checks run on every
-     instruction, and allocating a formatted string on the hot path would
-     dominate the DIFT overhead. *)
-  let check t ~kind ~data_tag ~required ~detail =
+  (* Each check counts itself and allocates nothing when it passes: these
+     run on every instruction, so the violation record and its formatted
+     detail string are built only once the flow has been refused. *)
+  let violation t ~kind ~data_tag ~required detail =
+    Dift.Monitor.violation t.monitor
+      {
+        Dift.Violation.kind;
+        data_tag;
+        required_tag = required;
+        pc = Some t.cur_pc;
+        detail;
+      }
+
+  let[@inline] allowed t tag required =
     Dift.Monitor.count_check t.monitor;
-    if not (Dift.Lattice.allowed_flow t.lat data_tag required) then
-      Dift.Monitor.violation t.monitor
-        {
-          Dift.Violation.kind;
-          data_tag;
-          required_tag = required;
-          pc = Some t.cur_pc;
-          detail = detail ();
-        }
+    Dift.Lattice.allowed_flow t.lat tag required
 
   let check_fetch t tag =
     match t.fetch_req with
     | Some required ->
-        if
-          Dift.Monitor.count_check t.monitor;
-          not (Dift.Lattice.allowed_flow t.lat tag required)
-        then
-          Dift.Monitor.violation t.monitor
-            {
-              Dift.Violation.kind = Dift.Violation.Exec_fetch;
-              data_tag = tag;
-              required_tag = required;
-              pc = Some t.cur_pc;
-              detail = Printf.sprintf "fetch of 0x%08x" t.insn_word;
-            }
+        if not (allowed t tag required) then
+          violation t ~kind:Dift.Violation.Exec_fetch ~data_tag:tag ~required
+            (Printf.sprintf "fetch of 0x%08x" t.insn_word)
     | None -> ()
 
   let check_branch t tag detail =
     match t.branch_req with
     | Some required ->
-        check t ~kind:Dift.Violation.Exec_branch ~data_tag:tag ~required
-          ~detail:(fun () -> detail)
+        if not (allowed t tag required) then
+          violation t ~kind:Dift.Violation.Exec_branch ~data_tag:tag ~required
+            detail
     | None -> ()
 
   let check_mem_addr t tag addr =
     match t.mem_addr_req with
     | Some required ->
-        check t ~kind:Dift.Violation.Exec_mem_addr ~data_tag:tag ~required
-          ~detail:(fun () -> Printf.sprintf "effective address 0x%08x" addr)
+        if not (allowed t tag required) then
+          violation t ~kind:Dift.Violation.Exec_mem_addr ~data_tag:tag
+            ~required
+            (Printf.sprintf "effective address 0x%08x" addr)
     | None -> ()
 
   let check_store_region t ~addr ~width ~tag =
     if t.has_store_clearance then
       for i = 0 to width - 1 do
-        match Dift.Policy.store_required_at t.policy (addr + i) with
-        | Some (region, required) ->
-            check t ~kind:(Dift.Violation.Store_integrity region) ~data_tag:tag
-              ~required
-              ~detail:(fun () -> Printf.sprintf "store to 0x%08x" (addr + i))
-        | None -> ()
+        let a = addr + i in
+        let required = Dift.Policy.store_clearance_at t.policy a in
+        if required >= 0 && not (allowed t tag required) then
+          let region, _ =
+            Option.get (Dift.Policy.store_required_at t.policy a)
+          in
+          violation t ~kind:(Dift.Violation.Store_integrity region)
+            ~data_tag:tag ~required
+            (Printf.sprintf "store to 0x%08x" a)
       done
 
   (* --- Traps and interrupts ----------------------------------------- *)
@@ -712,13 +737,13 @@ module Make (M : MODE) = struct
               (if M.tracking && (n = Csr.mtvec || n = Csr.mepc) then
                  match t.policy.Dift.Policy.trap_csr with
                  | Some required ->
-                     check t
-                       ~kind:
-                         (Dift.Violation.Trap_steering
-                            (if n = Csr.mtvec then "mtvec" else "mepc"))
-                       ~data_tag:new_t ~required
-                       ~detail:(fun () ->
-                         Printf.sprintf "csr write of 0x%08x" (mask32 new_v))
+                     if not (allowed t new_t required) then
+                       violation t
+                         ~kind:
+                           (Dift.Violation.Trap_steering
+                              (if n = Csr.mtvec then "mtvec" else "mepc"))
+                         ~data_tag:new_t ~required
+                         (Printf.sprintf "csr write of 0x%08x" (mask32 new_v))
                  | None -> ());
               Csr.write t.csrf n ~value:new_v ~tag:new_t
             end
@@ -728,6 +753,28 @@ module Make (M : MODE) = struct
           else trap t ~cause:Csr.cause_illegal ~tval:t.insn_word
 
   (* --- Execute -------------------------------------------------------- *)
+
+  (* Operand helpers of {!execute}. They live at functor level, taking
+     what they need as arguments, so that executing an instruction builds
+     no closure. [fast] is the fast-path flag at instruction entry and
+     [itag] the instruction's fetch tag (see [execute]). *)
+  let rt t r = if M.tracking then t.rtags.(r) else t.pub
+
+  (* Tag of an ALU result from one / two register sources: immediates and
+     the operation itself inherit the instruction's classification. *)
+  let tag1 t fast itag r =
+    if M.tracking && not fast then lub t t.rtags.(r) itag else t.pub
+
+  let tag2 t fast itag a b =
+    if M.tracking && not fast then lub t (lub t t.rtags.(a) t.rtags.(b)) itag
+    else t.pub
+
+  let branch_to t target = t.pc <- mask32 target
+
+  let cond_branch t fast pc0 a b off taken =
+    if M.tracking && not fast then
+      check_branch t (lub t (rt t a) (rt t b)) "branch condition";
+    if taken then branch_to t (pc0 + off)
 
   let execute t insn =
     let open Insn in
@@ -740,125 +787,127 @@ module Make (M : MODE) = struct
        inside set_reg_tagged, but [fast] here is deliberately the value at
        instruction entry: nothing after the load reads tags. *)
     let fast = M.tracking && t.fast in
-    let rt r = if M.tracking then rtags.(r) else t.pub in
-    (* Tag of an ALU result from one / two register sources: immediates and
-       the operation itself inherit the instruction's classification. *)
-    let tag1 r = if M.tracking && not fast then lub t rtags.(r) itag else t.pub in
-    let tag2 a b =
-      if M.tracking && not fast then lub t (lub t rtags.(a) rtags.(b)) itag
-      else t.pub
-    in
-    let branch_to target = t.pc <- mask32 target in
-    let cond_branch a b off taken =
-      if M.tracking && not fast then
-        check_branch t (lub t (rt a) (rt b)) "branch condition";
-      if taken then branch_to (pc0 + off)
-    in
     match insn with
     | LUI (rd, imm) -> set_reg_tagged t rd imm itag
     | AUIPC (rd, imm) -> set_reg_tagged t rd (pc0 + imm) itag
     | JAL (rd, off) ->
         set_reg_tagged t rd (pc0 + 4) itag;
-        branch_to (pc0 + off)
+        branch_to t (pc0 + off)
     | JALR (rd, rs1, off) ->
         if M.tracking && not fast then
-          check_branch t (rt rs1) "indirect jump target";
+          check_branch t (rt t rs1) "indirect jump target";
         let target = mask32 (regs.(rs1) + off) land lnot 1 in
         set_reg_tagged t rd (pc0 + 4) itag;
-        branch_to target
-    | BEQ (a, b, off) -> cond_branch a b off (regs.(a) = regs.(b))
-    | BNE (a, b, off) -> cond_branch a b off (regs.(a) <> regs.(b))
-    | BLT (a, b, off) -> cond_branch a b off (signed regs.(a) < signed regs.(b))
-    | BGE (a, b, off) -> cond_branch a b off (signed regs.(a) >= signed regs.(b))
-    | BLTU (a, b, off) -> cond_branch a b off (regs.(a) < regs.(b))
-    | BGEU (a, b, off) -> cond_branch a b off (regs.(a) >= regs.(b))
+        branch_to t target
+    | BEQ (a, b, off) -> cond_branch t fast pc0 a b off (regs.(a) = regs.(b))
+    | BNE (a, b, off) -> cond_branch t fast pc0 a b off (regs.(a) <> regs.(b))
+    | BLT (a, b, off) ->
+        cond_branch t fast pc0 a b off (signed regs.(a) < signed regs.(b))
+    | BGE (a, b, off) ->
+        cond_branch t fast pc0 a b off (signed regs.(a) >= signed regs.(b))
+    | BLTU (a, b, off) -> cond_branch t fast pc0 a b off (regs.(a) < regs.(b))
+    | BGEU (a, b, off) -> cond_branch t fast pc0 a b off (regs.(a) >= regs.(b))
     | LB (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking && not fast then check_mem_addr t (rt t rs1) addr;
         let v = do_load t ~width:1 ~addr in
         set_reg_tagged t rd
           (if v land 0x80 <> 0 then v lor 0xffffff00 else v)
           (Bus_if.last_tag t.bus)
     | LH (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking && not fast then check_mem_addr t (rt t rs1) addr;
         let v = do_load t ~width:2 ~addr in
         set_reg_tagged t rd
           (if v land 0x8000 <> 0 then v lor 0xffff0000 else v)
           (Bus_if.last_tag t.bus)
     | LW (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking && not fast then check_mem_addr t (rt t rs1) addr;
         let v = do_load t ~width:4 ~addr in
         set_reg_tagged t rd v (Bus_if.last_tag t.bus)
     | LBU (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking && not fast then check_mem_addr t (rt t rs1) addr;
         let v = do_load t ~width:1 ~addr in
         set_reg_tagged t rd v (Bus_if.last_tag t.bus)
     | LHU (rd, rs1, off) ->
         let addr = mask32 (regs.(rs1) + off) in
-        if M.tracking && not fast then check_mem_addr t (rt rs1) addr;
+        if M.tracking && not fast then check_mem_addr t (rt t rs1) addr;
         let v = do_load t ~width:2 ~addr in
         set_reg_tagged t rd v (Bus_if.last_tag t.bus)
     | SB (rs1, rs2, off) ->
         let addr = mask32 (regs.(rs1) + off) in
         if M.tracking && not fast then begin
-          check_mem_addr t (rt rs1) addr;
-          check_store_region t ~addr ~width:1 ~tag:(rt rs2)
+          check_mem_addr t (rt t rs1) addr;
+          check_store_region t ~addr ~width:1 ~tag:(rt t rs2)
         end;
-        do_store t ~width:1 ~addr ~value:regs.(rs2) ~tag:(rt rs2)
+        do_store t ~width:1 ~addr ~value:regs.(rs2) ~tag:(rt t rs2)
     | SH (rs1, rs2, off) ->
         let addr = mask32 (regs.(rs1) + off) in
         if M.tracking && not fast then begin
-          check_mem_addr t (rt rs1) addr;
-          check_store_region t ~addr ~width:2 ~tag:(rt rs2)
+          check_mem_addr t (rt t rs1) addr;
+          check_store_region t ~addr ~width:2 ~tag:(rt t rs2)
         end;
-        do_store t ~width:2 ~addr ~value:regs.(rs2) ~tag:(rt rs2)
+        do_store t ~width:2 ~addr ~value:regs.(rs2) ~tag:(rt t rs2)
     | SW (rs1, rs2, off) ->
         let addr = mask32 (regs.(rs1) + off) in
         if M.tracking && not fast then begin
-          check_mem_addr t (rt rs1) addr;
-          check_store_region t ~addr ~width:4 ~tag:(rt rs2)
+          check_mem_addr t (rt t rs1) addr;
+          check_store_region t ~addr ~width:4 ~tag:(rt t rs2)
         end;
-        do_store t ~width:4 ~addr ~value:regs.(rs2) ~tag:(rt rs2)
-    | ADDI (rd, rs1, imm) -> set_reg_tagged t rd (regs.(rs1) + imm) (tag1 rs1)
+        do_store t ~width:4 ~addr ~value:regs.(rs2) ~tag:(rt t rs2)
+    | ADDI (rd, rs1, imm) ->
+        set_reg_tagged t rd (regs.(rs1) + imm) (tag1 t fast itag rs1)
     | SLTI (rd, rs1, imm) ->
-        set_reg_tagged t rd (if signed regs.(rs1) < imm then 1 else 0) (tag1 rs1)
+        set_reg_tagged t rd (if signed regs.(rs1) < imm then 1 else 0)
+          (tag1 t fast itag rs1)
     | SLTIU (rd, rs1, imm) ->
         set_reg_tagged t rd
           (if regs.(rs1) < mask32 imm then 1 else 0)
-          (tag1 rs1)
+          (tag1 t fast itag rs1)
     | XORI (rd, rs1, imm) ->
-        set_reg_tagged t rd (regs.(rs1) lxor mask32 imm) (tag1 rs1)
+        set_reg_tagged t rd (regs.(rs1) lxor mask32 imm) (tag1 t fast itag rs1)
     | ORI (rd, rs1, imm) ->
-        set_reg_tagged t rd (regs.(rs1) lor mask32 imm) (tag1 rs1)
+        set_reg_tagged t rd (regs.(rs1) lor mask32 imm) (tag1 t fast itag rs1)
     | ANDI (rd, rs1, imm) ->
-        set_reg_tagged t rd (regs.(rs1) land mask32 imm) (tag1 rs1)
-    | SLLI (rd, rs1, sh) -> set_reg_tagged t rd (regs.(rs1) lsl sh) (tag1 rs1)
-    | SRLI (rd, rs1, sh) -> set_reg_tagged t rd (regs.(rs1) lsr sh) (tag1 rs1)
+        set_reg_tagged t rd (regs.(rs1) land mask32 imm) (tag1 t fast itag rs1)
+    | SLLI (rd, rs1, sh) ->
+        set_reg_tagged t rd (regs.(rs1) lsl sh) (tag1 t fast itag rs1)
+    | SRLI (rd, rs1, sh) ->
+        set_reg_tagged t rd (regs.(rs1) lsr sh) (tag1 t fast itag rs1)
     | SRAI (rd, rs1, sh) ->
-        set_reg_tagged t rd (signed regs.(rs1) asr sh) (tag1 rs1)
-    | ADD (rd, a, b) -> set_reg_tagged t rd (regs.(a) + regs.(b)) (tag2 a b)
-    | SUB (rd, a, b) -> set_reg_tagged t rd (regs.(a) - regs.(b)) (tag2 a b)
+        set_reg_tagged t rd (signed regs.(rs1) asr sh) (tag1 t fast itag rs1)
+    | ADD (rd, a, b) ->
+        set_reg_tagged t rd (regs.(a) + regs.(b)) (tag2 t fast itag a b)
+    | SUB (rd, a, b) ->
+        set_reg_tagged t rd (regs.(a) - regs.(b)) (tag2 t fast itag a b)
     | SLL (rd, a, b) ->
-        set_reg_tagged t rd (regs.(a) lsl (regs.(b) land 31)) (tag2 a b)
+        set_reg_tagged t rd (regs.(a) lsl (regs.(b) land 31))
+          (tag2 t fast itag a b)
     | SLT (rd, a, b) ->
         set_reg_tagged t rd
           (if signed regs.(a) < signed regs.(b) then 1 else 0)
-          (tag2 a b)
+          (tag2 t fast itag a b)
     | SLTU (rd, a, b) ->
-        set_reg_tagged t rd (if regs.(a) < regs.(b) then 1 else 0) (tag2 a b)
-    | XOR (rd, a, b) -> set_reg_tagged t rd (regs.(a) lxor regs.(b)) (tag2 a b)
+        set_reg_tagged t rd (if regs.(a) < regs.(b) then 1 else 0)
+          (tag2 t fast itag a b)
+    | XOR (rd, a, b) ->
+        set_reg_tagged t rd (regs.(a) lxor regs.(b)) (tag2 t fast itag a b)
     | SRL (rd, a, b) ->
-        set_reg_tagged t rd (regs.(a) lsr (regs.(b) land 31)) (tag2 a b)
+        set_reg_tagged t rd (regs.(a) lsr (regs.(b) land 31))
+          (tag2 t fast itag a b)
     | SRA (rd, a, b) ->
-        set_reg_tagged t rd (signed regs.(a) asr (regs.(b) land 31)) (tag2 a b)
-    | OR (rd, a, b) -> set_reg_tagged t rd (regs.(a) lor regs.(b)) (tag2 a b)
-    | AND (rd, a, b) -> set_reg_tagged t rd (regs.(a) land regs.(b)) (tag2 a b)
+        set_reg_tagged t rd (signed regs.(a) asr (regs.(b) land 31))
+          (tag2 t fast itag a b)
+    | OR (rd, a, b) ->
+        set_reg_tagged t rd (regs.(a) lor regs.(b)) (tag2 t fast itag a b)
+    | AND (rd, a, b) ->
+        set_reg_tagged t rd (regs.(a) land regs.(b)) (tag2 t fast itag a b)
     | MUL (rd, a, b) ->
         let p = Int64.mul (Int64.of_int regs.(a)) (Int64.of_int regs.(b)) in
-        set_reg_tagged t rd (Int64.to_int p land 0xffffffff) (tag2 a b)
+        set_reg_tagged t rd (Int64.to_int p land 0xffffffff)
+          (tag2 t fast itag a b)
     | MULH (rd, a, b) ->
         let p =
           Int64.mul
@@ -867,19 +916,19 @@ module Make (M : MODE) = struct
         in
         set_reg_tagged t rd
           (Int64.to_int (Int64.shift_right p 32) land 0xffffffff)
-          (tag2 a b)
+          (tag2 t fast itag a b)
     | MULHSU (rd, a, b) ->
         let p =
           Int64.mul (Int64.of_int (signed regs.(a))) (Int64.of_int regs.(b))
         in
         set_reg_tagged t rd
           (Int64.to_int (Int64.shift_right p 32) land 0xffffffff)
-          (tag2 a b)
+          (tag2 t fast itag a b)
     | MULHU (rd, a, b) ->
         let p = Int64.mul (Int64.of_int regs.(a)) (Int64.of_int regs.(b)) in
         set_reg_tagged t rd
           (Int64.to_int (Int64.shift_right_logical p 32) land 0xffffffff)
-          (tag2 a b)
+          (tag2 t fast itag a b)
     | DIV (rd, a, b) ->
         let x = signed regs.(a) and y = signed regs.(b) in
         let q =
@@ -889,10 +938,10 @@ module Make (M : MODE) = struct
             (* OCaml division truncates toward zero, matching RISC-V. *)
             x / y
         in
-        set_reg_tagged t rd q (tag2 a b)
+        set_reg_tagged t rd q (tag2 t fast itag a b)
     | DIVU (rd, a, b) ->
         let q = if regs.(b) = 0 then 0xffffffff else regs.(a) / regs.(b) in
-        set_reg_tagged t rd q (tag2 a b)
+        set_reg_tagged t rd q (tag2 t fast itag a b)
     | REM (rd, a, b) ->
         let x = signed regs.(a) and y = signed regs.(b) in
         let r =
@@ -900,10 +949,10 @@ module Make (M : MODE) = struct
           else if x = -0x80000000 && y = -1 then 0
           else x mod y
         in
-        set_reg_tagged t rd r (tag2 a b)
+        set_reg_tagged t rd r (tag2 t fast itag a b)
     | REMU (rd, a, b) ->
         let r = if regs.(b) = 0 then regs.(a) else regs.(a) mod regs.(b) in
-        set_reg_tagged t rd r (tag2 a b)
+        set_reg_tagged t rd r (tag2 t fast itag a b)
     | FENCE -> ()
     | ECALL ->
         if t.priv = Csr.priv_m && regs.(17) = 93 then
@@ -918,21 +967,10 @@ module Make (M : MODE) = struct
              | Some g ->
                  for rno = 10 to 15 do
                    let tag = rtags.(rno) in
-                   Dift.Monitor.count_check t.monitor;
-                   if
-                     not
-                       (Dift.Lattice.allowed_flow t.lat tag
-                          g.Dift.Policy.g_clearance)
-                   then
-                     Dift.Monitor.violation t.monitor
-                       {
-                         Dift.Violation.kind =
-                           Dift.Violation.Custom "ecall-gate";
-                         data_tag = tag;
-                         required_tag = g.Dift.Policy.g_clearance;
-                         pc = Some pc0;
-                         detail = Printf.sprintf "ecall argument a%d" (rno - 10);
-                       }
+                   if not (allowed t tag g.Dift.Policy.g_clearance) then
+                     violation t ~kind:(Dift.Violation.Custom "ecall-gate")
+                       ~data_tag:tag ~required:g.Dift.Policy.g_clearance
+                       (Printf.sprintf "ecall argument a%d" (rno - 10))
                    else if
                      tag <> g.Dift.Policy.g_declass
                      && not
@@ -977,7 +1015,7 @@ module Make (M : MODE) = struct
             lor (mpie lsl 3) lor Csr.mstatus_mpie;
           if M.tracking then check_branch t c.Csr.t_mepc "mret target (mepc)";
           set_priv t mpp;
-          branch_to c.Csr.v_mepc;
+          branch_to t c.Csr.v_mepc;
           match t.on_trap with
           | Some f -> f (Trap_return { target = t.pc; to_priv = mpp })
           | None -> ()
@@ -985,12 +1023,13 @@ module Make (M : MODE) = struct
     | WFI ->
         if t.csrf.Csr.v_mip land t.csrf.Csr.v_mie = 0 then t.in_wfi <- true
     | CSRRW (rd, rs1, n) ->
-        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_w ~do_write:true
+        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt t rs1) ~op:Op_w
+          ~do_write:true
     | CSRRS (rd, rs1, n) ->
-        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_s
+        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt t rs1) ~op:Op_s
           ~do_write:(rs1 <> 0)
     | CSRRC (rd, rs1, n) ->
-        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt rs1) ~op:Op_c
+        do_csr t rd n ~src_v:regs.(rs1) ~src_t:(rt t rs1) ~op:Op_c
           ~do_write:(rs1 <> 0)
     | CSRRWI (rd, z, n) ->
         do_csr t rd n ~src_v:z ~src_t:itag ~op:Op_w ~do_write:true
@@ -1822,14 +1861,14 @@ module Make (M : MODE) = struct
      like exec_block's fast-path gate. *)
   let dispatch_threaded t =
     if interrupt_pending t then begin
-      t.prev_cb <- None;
+      t.prev_cb <- no_cb;
       take_interrupt t
     end
     else begin
       let pc0 = t.pc in
       let idx = (pc0 - t.blk_base) lsr 2 in
       if pc0 land 3 <> 0 || idx >= Table.length t.cblocks then begin
-        t.prev_cb <- None;
+        t.prev_cb <- no_cb;
         step t
       end
       else
@@ -1842,7 +1881,7 @@ module Make (M : MODE) = struct
               cb
         in
         if cb.cb_n = 0 then begin
-          t.prev_cb <- None;
+          t.prev_cb <- no_cb;
           step t
         end
         else begin
@@ -1855,34 +1894,30 @@ module Make (M : MODE) = struct
              that was flushed since it last ran; a self-loop link swaps
              in the new chain for the current round as well. *)
           let cb =
-            if not t.superblocks then cb
+            let p = t.prev_cb in
+            if (not t.superblocks) || p.cb_linked then cb
+            else if p.cb_edge_pc = pc0 then begin
+              p.cb_edge_n <- p.cb_edge_n + 1;
+              if
+                p.cb_edge_n >= superblock_threshold
+                && not (ends_in_jalr p.cb_blk)
+              then begin
+                let pidx = (p.cb_pc - t.blk_base) lsr 2 in
+                match Table.get t.cblocks pidx with
+                | Some cur when cur == p ->
+                    let sb = link_superblock t p pidx cb in
+                    if p.cb_pc = pc0 then sb else cb
+                | _ -> cb
+              end
+              else cb
+            end
             else begin
-              match t.prev_cb with
-              | Some p when not p.cb_linked ->
-                  if p.cb_edge_pc = pc0 then begin
-                    p.cb_edge_n <- p.cb_edge_n + 1;
-                    if
-                      p.cb_edge_n >= superblock_threshold
-                      && not (ends_in_jalr p.cb_blk)
-                    then begin
-                      let pidx = (p.cb_pc - t.blk_base) lsr 2 in
-                      match Table.get t.cblocks pidx with
-                      | Some cur when cur == p ->
-                          let sb = link_superblock t p pidx cb in
-                          if p.cb_pc = pc0 then sb else cb
-                      | _ -> cb
-                    end
-                    else cb
-                  end
-                  else begin
-                    p.cb_edge_pc <- pc0;
-                    p.cb_edge_n <- 1;
-                    cb
-                  end
-              | _ -> cb
+              p.cb_edge_pc <- pc0;
+              p.cb_edge_n <- 1;
+              cb
             end
           in
-          t.prev_cb <- Some cb;
+          t.prev_cb <- cb;
           t.chain_epoch <- t.flush_epoch;
           match cb.cb_fast with
           | Some f
@@ -2058,7 +2093,7 @@ module Make (M : MODE) = struct
        exit-edge profile and force every inline cache to re-validate.
        (The memory restore already flushed the compiled blocks through
        the write hook; this covers cores restored without one.) *)
-    t.prev_cb <- None;
+    t.prev_cb <- no_cb;
     t.flush_epoch <- t.flush_epoch + 1
 end
 

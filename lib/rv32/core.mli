@@ -127,6 +127,13 @@ module type S = sig
   val set_pc : t -> int -> unit
   val get_reg : t -> Reg.t -> int
   val get_reg_tag : t -> Reg.t -> Dift.Lattice.tag
+
+  val reg_tags : t -> Dift.Lattice.tag array
+  (** The core's live register-tag array, indexed by register number: a
+      per-instruction observer reads operand tags from it without a call
+      per register. Read-only: writing it bypasses the fast-path
+      bookkeeping of {!set_reg_tagged}. *)
+
   val set_reg : t -> Reg.t -> int -> unit
   (** Sets the register with the lattice-bottom (public/trusted) tag. *)
 

@@ -32,15 +32,30 @@ val set_byte : t -> int -> int -> unit
 val get_tag : t -> int -> Dift.Lattice.tag
 val set_tag : t -> int -> Dift.Lattice.tag -> unit
 
+(** {2 Whole-payload access}
+
+    These read or write every byte of the payload at once. Payloads of 1, 2
+    or 4 bytes — every transaction the CPU and the DMA issue — take a
+    single word-wide access and allocate nothing; other lengths go byte by
+    byte. Values are little-endian and meaningful up to 7 bytes. *)
+
+val get_word : t -> int
+(** Unsigned little-endian value of the payload's bytes. *)
+
+val set_word : t -> int -> unit
+(** Store the low [length] bytes of the value, little-endian. *)
+
+val packed_tags : t -> int
+(** The byte tags packed into one int, byte [i]'s tag in bits [8i..8i+7]. *)
+
 val set_all_tags : t -> Dift.Lattice.tag -> unit
 
-val get_word : t -> int32
-(** Little-endian 32-bit value of bytes 0..3. Requires [length >= 4]. *)
-
-val set_word : t -> int32 -> unit
+val set_word_tagged : t -> int -> Dift.Lattice.tag -> unit
+(** {!set_word}, then {!set_all_tags}: a register read's reply. *)
 
 val word_tag : Dift.Lattice.t -> t -> Dift.Lattice.tag
-(** LUB of the tags of bytes 0..3. *)
+(** LUB of the tags of all bytes. Runs of equal tags take no lattice
+    lookup. *)
 
 val is_read : t -> bool
 val is_write : t -> bool

@@ -49,13 +49,6 @@ let find r addr =
   done;
   if !best >= 0 && addr <= (Array.unsafe_get a !best).hi then !best else -1
 
-let resolve r addr =
-  match find r addr with
-  | -1 -> None
-  | i ->
-      let e = r.sorted.(i) in
-      Some (e.target, addr - e.lo)
-
 let route r payload delay =
   match find r payload.Payload.addr with
   | -1 ->

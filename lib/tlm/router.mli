@@ -22,10 +22,6 @@ val map : t -> lo:int -> hi:int -> Socket.target -> unit
 val target_socket : t -> Socket.target
 (** The socket initiators bind to. *)
 
-val resolve : t -> int -> (Socket.target * int) option
-(** [resolve r addr] is the mapped target and local offset, if any — useful
-    for direct-memory-interface shortcuts. *)
-
 val mappings : t -> (int * int * string) list
 (** [(lo, hi, target-name)] triples in mapping order, for diagnostics. *)
 

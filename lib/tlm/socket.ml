@@ -16,4 +16,7 @@ let transport i payload delay =
   | Some t -> t.fn payload delay
   | None -> raise (Unbound i.i_name)
 
-let call t = t.fn
+(* Eta-expanded: an arity-1 [call] applied to three arguments would
+   allocate a partial application on every transaction wherever its body
+   cannot be inlined (the dev profile compiles with -opaque). *)
+let call t payload delay = t.fn payload delay

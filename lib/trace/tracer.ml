@@ -53,7 +53,9 @@ let record_tlm t ~time ~write ~addr ~len ~tag ~target =
   e.Event.data <- len;
   e.Event.tag <- tag;
   e.Event.tainted <- false;
-  e.Event.text <- target;
+  (* Each slot tends to hold the name of the target it last recorded:
+     skip the write barrier then, as [record_insn] does. *)
+  if e.Event.text != target then e.Event.text <- target;
   observed t e
 
 let record_trap t ~time ~addr ~code ~text =

@@ -45,7 +45,9 @@ let set_irq_callback a fn = a.irq <- fn
 let busy a = a.busy
 let encryptions a = a.count
 
-let check_in a ~tag ~detail =
+(* Key-input clearance, checked per key byte written; the detail string
+   is formatted only for a refused byte. *)
+let check_key_byte a ~tag ~off =
   match a.in_clearance with
   | None -> ()
   | Some required ->
@@ -57,7 +59,7 @@ let check_in a ~tag ~detail =
             data_tag = tag;
             required_tag = required;
             pc = None;
-            detail = detail ();
+            detail = Printf.sprintf "key byte %d" off;
           }
 
 let encrypt a =
@@ -104,7 +106,7 @@ let transport a (p : Tlm.Payload.t) delay =
   | Tlm.Payload.Write when addr + len <= 0x10 ->
       for i = 0 to len - 1 do
         let tag = Tlm.Payload.get_tag p i in
-        check_in a ~tag ~detail:(fun () -> Printf.sprintf "key byte %d" (addr + i));
+        check_key_byte a ~tag ~off:(addr + i);
         Bytes.set a.key (addr + i) (Char.chr (Tlm.Payload.get_byte p i));
         Bytes.set a.key_tags (addr + i) (Char.chr tag)
       done
@@ -128,11 +130,7 @@ let transport a (p : Tlm.Payload.t) delay =
         Sysc.Kernel.notify a.start_ev
       end
   | Tlm.Payload.Read when addr = 0x30 ->
-      Tlm.Payload.set_byte p 0 (if a.busy then 1 else 0);
-      for i = 1 to len - 1 do
-        Tlm.Payload.set_byte p i 0
-      done;
-      Tlm.Payload.set_all_tags p a.env.Env.pub
+      Tlm.Payload.set_word_tagged p (if a.busy then 1 else 0) a.env.Env.pub
   | Tlm.Payload.Read | Tlm.Payload.Write ->
       p.Tlm.Payload.resp <- Tlm.Payload.Command_error);
   Sysc.Time.add delay (Sysc.Time.ns 50)

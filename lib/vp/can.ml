@@ -37,12 +37,13 @@ let tx_frames c = List.rev c.tx_log
 let rx_pending c = Queue.length c.rx_fifo + if c.rx_valid then 1 else 0
 
 let load_rx c =
-  match Queue.take_opt c.rx_fifo with
-  | Some (frame, tag) ->
-      Bytes.blit_string frame 0 c.rxd 0 8;
-      Bytes.fill c.rxd_tags 0 8 (Char.chr tag);
-      c.rx_valid <- true
-  | None -> c.rx_valid <- false
+  if Queue.is_empty c.rx_fifo then c.rx_valid <- false
+  else begin
+    let frame, tag = Queue.take c.rx_fifo in
+    Bytes.blit_string frame 0 c.rxd 0 8;
+    Bytes.fill c.rxd_tags 0 8 (Char.chr tag);
+    c.rx_valid <- true
+  end
 
 let push_rx_frame c ?tag frame =
   let tag =
@@ -71,19 +72,16 @@ let transport c (p : Tlm.Payload.t) delay =
       for i = 0 to len - 1 do
         let tag = Tlm.Payload.get_tag p i in
         (* The CAN bus is an output interface: check clearance per byte. *)
-        Env.check_output c.env ~port:c.port ~data_tag:tag
-          ~detail:(fun () -> Printf.sprintf "%s tx byte %d" c.name (addr + i));
+        if not (Env.output_allowed c.env ~port:c.port ~data_tag:tag) then
+          Env.output_violation c.env ~port:c.port ~data_tag:tag
+            (Printf.sprintf "%s tx byte %d" c.name (addr + i));
         Bytes.set c.txd (addr + i) (Char.chr (Tlm.Payload.get_byte p i));
         Bytes.set c.txd_tags (addr + i) (Char.chr tag)
       done
   | Tlm.Payload.Write when addr = 0x08 ->
       if Tlm.Payload.get_byte p 0 land 1 <> 0 then send c
   | Tlm.Payload.Read when addr = 0x08 ->
-      Tlm.Payload.set_byte p 0 1 (* tx always ready *);
-      for i = 1 to len - 1 do
-        Tlm.Payload.set_byte p i 0
-      done;
-      Tlm.Payload.set_all_tags p c.env.Env.pub
+      Tlm.Payload.set_word_tagged p 1 (* tx always ready *) c.env.Env.pub
   | Tlm.Payload.Read when addr >= 0x10 && addr + len <= 0x18 ->
       for i = 0 to len - 1 do
         let o = addr + i - 0x10 in
@@ -91,11 +89,7 @@ let transport c (p : Tlm.Payload.t) delay =
         Tlm.Payload.set_tag p i (Char.code (Bytes.get c.rxd_tags o))
       done
   | Tlm.Payload.Read when addr = 0x18 ->
-      Tlm.Payload.set_byte p 0 (rx_pending c land 0xff);
-      for i = 1 to len - 1 do
-        Tlm.Payload.set_byte p i 0
-      done;
-      Tlm.Payload.set_all_tags p c.env.Env.pub
+      Tlm.Payload.set_word_tagged p (rx_pending c land 0xff) c.env.Env.pub
   | Tlm.Payload.Write when addr = 0x18 ->
       if Tlm.Payload.get_byte p 0 land 1 <> 0 then load_rx c
   | Tlm.Payload.Read | Tlm.Payload.Write ->

@@ -95,31 +95,19 @@ let start d =
       done)
 
 let transport d (p : Tlm.Payload.t) delay =
-  let len = Tlm.Payload.length p in
-  let get () =
-    let v = ref 0 in
-    for i = len - 1 downto 0 do
-      v := (!v lsl 8) lor Tlm.Payload.get_byte p i
-    done;
-    !v
-  in
-  let put v =
-    for i = 0 to len - 1 do
-      Tlm.Payload.set_byte p i ((v lsr (8 * i)) land 0xff)
-    done;
-    Tlm.Payload.set_all_tags p d.env.Env.pub
-  in
+  let pub = d.env.Env.pub in
   p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
   (match (p.Tlm.Payload.addr, p.Tlm.Payload.cmd) with
-  | 0x00, Tlm.Payload.Read -> put d.src
-  | 0x00, Tlm.Payload.Write -> d.src <- get ()
-  | 0x04, Tlm.Payload.Read -> put d.dst
-  | 0x04, Tlm.Payload.Write -> d.dst <- get ()
-  | 0x08, Tlm.Payload.Read -> put d.len
-  | 0x08, Tlm.Payload.Write -> d.len <- get ()
-  | 0x0c, Tlm.Payload.Read -> put (if d.busy then 1 else 0)
+  | 0x00, Tlm.Payload.Read -> Tlm.Payload.set_word_tagged p d.src pub
+  | 0x00, Tlm.Payload.Write -> d.src <- Tlm.Payload.get_word p
+  | 0x04, Tlm.Payload.Read -> Tlm.Payload.set_word_tagged p d.dst pub
+  | 0x04, Tlm.Payload.Write -> d.dst <- Tlm.Payload.get_word p
+  | 0x08, Tlm.Payload.Read -> Tlm.Payload.set_word_tagged p d.len pub
+  | 0x08, Tlm.Payload.Write -> d.len <- Tlm.Payload.get_word p
+  | 0x0c, Tlm.Payload.Read ->
+      Tlm.Payload.set_word_tagged p (if d.busy then 1 else 0) pub
   | 0x0c, Tlm.Payload.Write ->
-      if get () land 1 <> 0 && not d.busy then begin
+      if Tlm.Payload.get_word p land 1 <> 0 && not d.busy then begin
         d.busy <- true;
         Sysc.Kernel.notify d.start_ev
       end

@@ -30,20 +30,22 @@ let taint_via env ~channel tag =
   | Some p when tag <> env.pub -> Trace.Provenance.record_via p ~channel tag
   | Some _ | None -> ()
 
-let check_output env ~port ~data_tag ~detail =
-  match Dift.Policy.output_required env.policy port with
-  | None -> ()
-  | Some required ->
-      Dift.Monitor.count_check env.monitor;
-      if not (Dift.Lattice.allowed_flow env.lat data_tag required) then
-        Dift.Monitor.violation env.monitor
-          {
-            Dift.Violation.kind = Dift.Violation.Output_clearance port;
-            data_tag;
-            required_tag = required;
-            pc = None;
-            detail = detail ();
-          }
+let output_allowed env ~port ~data_tag =
+  let required = Dift.Policy.output_clearance_of env.policy port in
+  required < 0
+  ||
+  (Dift.Monitor.count_check env.monitor;
+   Dift.Lattice.allowed_flow env.lat data_tag required)
+
+let output_violation env ~port ~data_tag detail =
+  Dift.Monitor.violation env.monitor
+    {
+      Dift.Violation.kind = Dift.Violation.Output_clearance port;
+      data_tag;
+      required_tag = Dift.Policy.output_clearance_of env.policy port;
+      pc = None;
+      detail;
+    }
 
 let declassify env ~where ~from_tag to_tag =
   Dift.Monitor.report env.monitor

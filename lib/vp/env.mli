@@ -25,12 +25,17 @@ val taint_via : t -> channel:string -> Dift.Lattice.tag -> unit
 (** Note that tagged data travelled through a named transfer channel
     (e.g. the DMA engine). Same no-op conventions as {!taint_source}. *)
 
-val check_output :
-  t -> port:string -> data_tag:Dift.Lattice.tag -> detail:(unit -> string) -> unit
-(** Clearance check at a named output interface: looks up the port's
-    required class in the policy (no check if undeclared) and reports a
-    violation to the monitor on failure. [detail] is formatted only then:
-    the check runs on every byte a peripheral emits. *)
+val output_allowed : t -> port:string -> data_tag:Dift.Lattice.tag -> bool
+(** Clearance check at a named output interface: counts a check of
+    [data_tag] against the port's required class in the policy (none if
+    the port declares no clearance) and tells whether the flow is allowed.
+    It runs on every byte a peripheral emits, so it allocates nothing; a
+    refusal is reported with {!output_violation}. *)
+
+val output_violation :
+  t -> port:string -> data_tag:Dift.Lattice.tag -> string -> unit
+(** Report a flow that {!output_allowed} refused to the monitor, with a
+    detail string describing the data. *)
 
 val declassify : t -> where:string -> from_tag:Dift.Lattice.tag -> Dift.Lattice.tag -> Dift.Lattice.tag
 (** [declassify env ~where ~from_tag to_tag] records the declassification

@@ -85,11 +85,7 @@ let transport s (p : Tlm.Payload.t) delay =
      (match p.Tlm.Payload.cmd with
      | Tlm.Payload.Read ->
          (* The configured class itself is not confidential (Fig. 4 l.45). *)
-         Tlm.Payload.set_byte p 0 s.tag;
-         for i = 1 to len - 1 do
-           Tlm.Payload.set_byte p i 0
-         done;
-         Tlm.Payload.set_all_tags p s.env.Env.pub
+         Tlm.Payload.set_word_tagged p s.tag s.env.Env.pub
      | Tlm.Payload.Write -> s.tag <- Tlm.Payload.get_byte p 0);
      p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp
    end

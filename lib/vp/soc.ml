@@ -153,15 +153,19 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
   if dmi then
     Rv32.Bus_if.set_dmi bus ~base:ram_base ~ram:(Memory.ram memory);
   Tlm.Socket.bind (Dma.initiator dma) (Tlm.Router.target_socket router);
-  let cpu =
+  let cpu, reg_tags =
     if tracking then
-      Wrap_dift.make
-        (Rv32.Core.Vp_dift.create ~kernel ~bus ~policy ~monitor ~quantum
-           ~block_cache ~fast_path ~engine ~strict_align ~pc:ram_base ())
+      let core =
+        Rv32.Core.Vp_dift.create ~kernel ~bus ~policy ~monitor ~quantum
+          ~block_cache ~fast_path ~engine ~strict_align ~pc:ram_base ()
+      in
+      (Wrap_dift.make core, Rv32.Core.Vp_dift.reg_tags core)
     else
-      Wrap_vp.make
-        (Rv32.Core.Vp.create ~kernel ~bus ~policy ~monitor ~quantum
-           ~block_cache ~fast_path ~engine ~strict_align ~pc:ram_base ())
+      let core =
+        Rv32.Core.Vp.create ~kernel ~bus ~policy ~monitor ~quantum
+          ~block_cache ~fast_path ~engine ~strict_align ~pc:ram_base ()
+      in
+      (Wrap_vp.make core, Rv32.Core.Vp.reg_tags core)
   in
   (* Writes landing in RAM behind the CPU's back (DMA over TLM, the loader,
      direct test pokes, reclassification) invalidate decoded blocks. *)
@@ -206,16 +210,10 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
         Tlm.Router.set_observer router
           (Some
              (fun p target ->
-               let len = Tlm.Payload.length p in
-               let tag = ref (Tlm.Payload.get_tag p 0) in
-               for i = 1 to len - 1 do
-                 (* Equal tags join to themselves: no lookup. *)
-                 let x = Tlm.Payload.get_tag p i in
-                 if x <> !tag then tag := Dift.Lattice.lub lat !tag x
-               done;
                Trace.Tracer.record_tlm tr ~time:(now ())
                  ~write:(p.Tlm.Payload.cmd = Tlm.Payload.Write)
-                 ~addr:p.Tlm.Payload.addr ~len ~tag:!tag ~target));
+                 ~addr:p.Tlm.Payload.addr ~len:(Tlm.Payload.length p)
+                 ~tag:(Tlm.Payload.word_tag lat p) ~target));
         (* Monitor events: violations and declassifications enter the event
            stream in order; declassifications also become provenance edges. *)
         Dift.Monitor.set_on_event monitor
@@ -249,8 +247,8 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
             if off >= 0 && off + 3 < mem_size then Rv32.Ram.get code ~width:4 off
             else 0
           in
-          let t1 = cpu.cpu_get_reg_tag (Rv32.Insn.rs1 insn) in
-          let t2 = cpu.cpu_get_reg_tag (Rv32.Insn.rs2 insn) in
+          let t1 = reg_tags.(Rv32.Insn.rs1 insn) in
+          let t2 = reg_tags.(Rv32.Insn.rs2 insn) in
           let tag = if t1 = t2 then t1 else Dift.Lattice.lub lat t1 t2 in
           Trace.Tracer.record_insn tr ~time:(now ()) ~pc ~word ~tag
             ~tainted:(tag <> pub)

@@ -70,47 +70,29 @@ let check_reload_write w ~tag =
           }
 
 let transport w (p : Tlm.Payload.t) delay =
-  let len = Tlm.Payload.length p in
-  let get () =
-    let v = ref 0 in
-    for i = len - 1 downto 0 do
-      v := (!v lsl 8) lor Tlm.Payload.get_byte p i
-    done;
-    !v
-  in
-  let word_tag () =
-    let t = ref (Tlm.Payload.get_tag p 0) in
-    for i = 1 to len - 1 do
-      t := Dift.Lattice.lub w.env.Env.lat !t (Tlm.Payload.get_tag p i)
-    done;
-    !t
-  in
-  let put v =
-    for i = 0 to len - 1 do
-      Tlm.Payload.set_byte p i ((v lsr (8 * i)) land 0xff)
-    done;
-    Tlm.Payload.set_all_tags p w.env.Env.pub
-  in
+  let pub = w.env.Env.pub in
   p.Tlm.Payload.resp <- Tlm.Payload.Ok_resp;
   (match (p.Tlm.Payload.addr, p.Tlm.Payload.cmd) with
-  | 0x00, Tlm.Payload.Read -> put w.reload_us
+  | 0x00, Tlm.Payload.Read -> Tlm.Payload.set_word_tagged p w.reload_us pub
   | 0x00, Tlm.Payload.Write ->
-      check_reload_write w ~tag:(word_tag ());
-      w.reload_us <- max 1 (get ())
+      check_reload_write w ~tag:(Tlm.Payload.word_tag w.env.Env.lat p);
+      w.reload_us <- max 1 (Tlm.Payload.get_word p)
   | 0x04, Tlm.Payload.Write ->
-      if get () land 1 <> 0 then begin
+      if Tlm.Payload.get_word p land 1 <> 0 then begin
         w.kicks <- w.kicks + 1;
         rearm w
       end
-  | 0x08, Tlm.Payload.Read -> put (if w.enabled then 1 else 0)
+  | 0x08, Tlm.Payload.Read ->
+      Tlm.Payload.set_word_tagged p (if w.enabled then 1 else 0) pub
   | 0x08, Tlm.Payload.Write ->
-      let on = get () land 1 <> 0 in
+      let on = Tlm.Payload.get_word p land 1 <> 0 in
       if on && not w.enabled then begin
         w.enabled <- true;
         rearm w
       end
       else if not on then w.enabled <- false
-  | 0x0c, Tlm.Payload.Read -> put (if w.expired then 1 else 0)
+  | 0x0c, Tlm.Payload.Read ->
+      Tlm.Payload.set_word_tagged p (if w.expired then 1 else 0) pub
   | _, _ -> p.Tlm.Payload.resp <- Tlm.Payload.Command_error);
   Sysc.Time.add delay w.latency
 

@@ -260,9 +260,11 @@ let test_policy_lookups () =
   check_bool "store region hit" true
     (Dift.Policy.store_required_at p 100 = Some ("p", t "HC,HI"));
   check_bool "store region miss" true (Dift.Policy.store_required_at p 102 = None);
-  check_bool "output lookup" true
-    (Dift.Policy.output_required p "uart" = Some (t "LC,LI"));
-  check_bool "unknown port unchecked" true (Dift.Policy.output_required p "spi" = None);
+  check_int "store clearance hit" (t "HC,HI")
+    (Dift.Policy.store_clearance_at p 101);
+  check_int "store clearance miss" (-1) (Dift.Policy.store_clearance_at p 102);
+  check_int "output lookup" (t "LC,LI") (Dift.Policy.output_clearance_of p "uart");
+  check_int "unknown port unchecked" (-1) (Dift.Policy.output_clearance_of p "spi");
   check_bool "bad region rejected" true
     (try ignore (Dift.Policy.region ~name:"x" ~lo:5 ~hi:4 ~tag:0); false
      with Invalid_argument _ -> true)

@@ -30,7 +30,7 @@ let read_word sock ~addr ~tag =
 
 let write_word sock ~addr ~value ~tag =
   let p = P.create ~cmd:P.Write ~addr ~len:4 ~default_tag:tag () in
-  P.set_word p (Int32.of_int value);
+  P.set_word p value;
   ignore (S.call sock p Sysc.Time.zero)
 
 let claim_reg = 8
@@ -39,7 +39,7 @@ let priority_reg src = 0x80 + (4 * src)
 let enable sock mask = write_word sock ~addr:4 ~value:mask ~tag:(t "LC,HI")
 
 let claim sock =
-  Int32.to_int (P.get_word (read_word sock ~addr:claim_reg ~tag:(t "LC,LI")))
+  P.get_word (read_word sock ~addr:claim_reg ~tag:(t "LC,LI"))
 
 let complete sock src =
   write_word sock ~addr:claim_reg ~value:src ~tag:(t "LC,HI")

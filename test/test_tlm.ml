@@ -11,15 +11,36 @@ let li = Dift.Lattice.tag_of_name lat "LI"
 
 let test_payload_word () =
   let p = P.create ~len:4 ~default_tag:hi () in
-  P.set_word p 0x11223344l;
+  P.set_word p 0x11223344;
   check_int "byte 0 (LE)" 0x44 (P.get_byte p 0);
   check_int "byte 3" 0x11 (P.get_byte p 3);
-  check_bool "word" true (Int32.equal (P.get_word p) 0x11223344l)
+  check_int "word" 0x11223344 (P.get_word p);
+  P.set_word p 0xfedcba98;
+  check_int "word is unsigned" 0xfedcba98 (P.get_word p);
+  (* Every length stores the value's low bytes and reads them back. *)
+  List.iter
+    (fun len ->
+      let p = P.create ~len ~default_tag:hi () in
+      P.set_word p 0x7766554433221100;
+      for i = 0 to len - 1 do
+        check_int (Printf.sprintf "len %d byte %d" len i) (0x11 * i)
+          (P.get_byte p i)
+      done;
+      check_int
+        (Printf.sprintf "len %d word" len)
+        (0x7766554433221100 land ((1 lsl (8 * len)) - 1))
+        (P.get_word p))
+    [ 1; 2; 3; 4; 5 ]
 
 let test_payload_word_tag () =
   let p = P.create ~len:4 ~default_tag:hi () in
+  check_int "uniform tags" hi (P.word_tag lat p);
+  check_int "packed uniform" (hi * 0x1010101) (P.packed_tags p);
   P.set_tag p 2 li;
-  check_int "word tag is LUB" li (P.word_tag lat p)
+  check_int "word tag is LUB" li (P.word_tag lat p);
+  check_int "packed" ((hi * 0x1000101) lor (li lsl 16)) (P.packed_tags p);
+  P.set_all_tags p hi;
+  check_int "set_all_tags" (hi * 0x1010101) (P.packed_tags p)
 
 let test_payload_tags_travel () =
   let p = P.create ~len:8 ~default_tag:hi () in
@@ -93,17 +114,6 @@ let test_router_overlap_rejected () =
   check_bool "empty range" true
     (try R.map r ~lo:30 ~hi:20 t; false with Invalid_argument _ -> true)
 
-let test_router_resolve () =
-  let r = R.create ~name:"bus" () in
-  let t = S.target ~name:"ram" (fun _ d -> d) in
-  R.map r ~lo:0x8000_0000 ~hi:0x800f_ffff t;
-  (match R.resolve r 0x8000_1234 with
-  | Some (tt, off) ->
-      check_string "target" "ram" (S.target_name tt);
-      check_int "offset" 0x1234 off
-  | None -> Alcotest.fail "resolve failed");
-  check_bool "unmapped resolves to None" true (R.resolve r 0x100 = None)
-
 (* Many targets, mapped in shuffled order: every address must reach its
    own target with the right local offset (exercises the sorted-array
    binary search across all positions, both ends included), gaps between
@@ -147,8 +157,12 @@ let test_router_many_targets () =
     check_bool "gap address-errors" true (q.P.resp = P.Address_error)
   done;
   (* Below the lowest and above the highest range. *)
-  check_bool "below all" true (R.resolve r (-1) = None);
-  check_bool "above all" true (R.resolve r ((n - 1) * 0x200 + 0x100) = None);
+  List.iter
+    (fun (what, addr) ->
+      let p = P.create ~cmd:P.Read ~addr ~len:1 ~default_tag:hi () in
+      ignore (S.call sock p Sysc.Time.zero);
+      check_bool what true (p.P.resp = P.Address_error))
+    [ ("below all", -1); ("above all", ((n - 1) * 0x200) + 0x100) ];
   (* Insertion (mapping) order is preserved in the listing. *)
   let listed = List.map (fun (_, _, name) -> name) (R.mappings r) in
   let expected =
@@ -189,7 +203,6 @@ let () =
             test_router_dispatch_and_offset;
           Alcotest.test_case "unmapped address" `Quick test_router_unmapped;
           Alcotest.test_case "overlap rejected" `Quick test_router_overlap_rejected;
-          Alcotest.test_case "resolve" `Quick test_router_resolve;
           Alcotest.test_case "many targets, binary search" `Quick
             test_router_many_targets;
           Alcotest.test_case "mappings listing" `Quick test_mappings_listing;
