@@ -20,23 +20,21 @@
      bechamel         - Bechamel micro-measurements (one group per table)
      all (default)    - everything above except bechamel
 
-   [scale] is a float (0.01 gives a seconds-long smoke run); flags
-   --no-block-cache / --no-fast-path disable the core's decoded-block
-   cache / untainted fast path for the timed subcommands, and --trace adds
+   [scale] is a float (0.01 gives a seconds-long smoke run); --trace adds
    a third vp+trace row per workload (VP+ with the tracing subsystem
    attached) to table2 / table2-extended so reports record the tracing
    overhead. --jobs=N sets the worker-domain count for table1 and
    parallel (default: the runtime's recommended domain count),
    --reps=N repeats each parallel row N times, and --no-warm-start
    cold-boots campaign SoCs instead of restoring the shared boot
-   snapshot (see docs/parallel.md). For table2 / table2-extended,
-   --engine=interp|threaded|superblock (repeatable) measures the
-   workloads once per named execution engine — rows carry an "engine"
-   field so CI can compare superblock vs threaded vs interpreter
-   throughput — and --only=W1[,W2,...] restricts the set to the named
-   workloads (the perf-smoke job runs `table2 --only=hello,dispatch
-   --engine=interp --engine=threaded --engine=superblock`; slowest
-   engine first, so process warmup is not charged to a gated
+   snapshot (see docs/parallel.md). --engine=step|compiled selects the
+   execution engine (default compiled) of the simulation subcommands; for
+   table2 / table2-extended it is repeatable and measures the workloads
+   once per named engine — rows carry an "engine" field so CI can
+   compare compiled vs step throughput — and --only=W1[,W2,...]
+   restricts the set to the named workloads (the perf-smoke job runs
+   `table2 --only=hello,dispatch --engine=step --engine=compiled`;
+   slowest engine first, so process warmup is not charged to a gated
    comparison). Each timed
    subcommand also writes a BENCH_<name>.json report (schema in
    docs/perf.md). *)
@@ -113,8 +111,8 @@ let table1 ~jobs () =
 (* Machine-readable reports                                            *)
 (* ------------------------------------------------------------------ *)
 
-let write_report ~file ~bench ~scale ~block_cache ~fast_path rows =
-  let doc = D.doc ~bench ~scale ~block_cache ~fast_path rows in
+let write_report ~file ~bench ~scale rows =
+  let doc = D.doc ~bench ~scale rows in
   (match D.validate doc with
   | Ok () -> ()
   | Error e -> pf "!! report failed schema validation: %s\n" e);
@@ -166,18 +164,18 @@ let print_table2 groups =
            match g with _ :: _ :: vpt :: _ -> vpt.D.m_overhead | _ -> 1.));
   pf "\n"
 
-let measure_set ~block_cache ~fast_path ~trace ~engine defs =
-  List.map (D.measure ~block_cache ~fast_path ~trace ~engine) defs
+let measure_set ~trace ~engine defs =
+  List.map (D.measure ~trace ~engine) defs
 
 (* One measurement pass per requested engine; the rows of every engine
    land in the same report (distinguished by their "engine" field), so
-   CI can compare threaded vs interpreter throughput from one file. *)
-let measure_engines ~block_cache ~fast_path ~trace ~engines defs =
+   CI can compare compiled vs step throughput from one file. *)
+let measure_engines ~trace ~engines defs =
   List.concat_map
     (fun engine ->
       if List.length engines > 1 then
         pf "--- engine: %s ---\n" (Rv32.Core.engine_name engine);
-      let groups = measure_set ~block_cache ~fast_path ~trace ~engine defs in
+      let groups = measure_set ~trace ~engine defs in
       print_table2 groups;
       pf "\n";
       List.concat groups)
@@ -198,22 +196,21 @@ let filter_defs ~only defs =
         names;
       List.filter (fun d -> List.mem d.D.d_name names) defs
 
-let table2 ~scale ~block_cache ~fast_path ~trace ~engines ~only () =
+let table2 ~scale ~trace ~engines ~only () =
   pf "=== Table II: performance overhead of VP-based DIFT (scale %g) ===\n\n"
     scale;
   pf "(workloads scaled down vs the paper's multi-billion-instruction runs;\n";
   pf " the target is the overhead SHAPE: VP+ roughly 1.2x-3x, average ~2x)\n\n";
   let defs = filter_defs ~only (D.table2 ~scale) in
-  let rows = measure_engines ~block_cache ~fast_path ~trace ~engines defs in
-  write_report ~file:"BENCH_table2.json" ~bench:"table2" ~scale ~block_cache
-    ~fast_path rows
+  let rows = measure_engines ~trace ~engines defs in
+  write_report ~file:"BENCH_table2.json" ~bench:"table2" ~scale rows
 
-let table2_extended ~scale ~block_cache ~fast_path ~trace ~engines ~only () =
+let table2_extended ~scale ~trace ~engines ~only () =
   pf "=== Extended workloads (beyond the paper's Table II set) ===\n\n";
   let defs = filter_defs ~only (D.extended ~scale) in
-  let rows = measure_engines ~block_cache ~fast_path ~trace ~engines defs in
+  let rows = measure_engines ~trace ~engines defs in
   write_report ~file:"BENCH_table2_extended.json" ~bench:"table2-extended"
-    ~scale ~block_cache ~fast_path rows
+    ~scale rows
 
 (* ------------------------------------------------------------------ *)
 (* LoC statistic (Section V-B1's 6.81%)                                *)
@@ -265,14 +262,12 @@ let loc_report () =
 (* ------------------------------------------------------------------ *)
 
 (* One qsort run under explicit platform knobs, as a report row. *)
-let qsort_case ~mode ~tracking ~dmi ~quantum ~block_cache ~fast_path
-    ~policy_of =
+let qsort_case ~mode ~tracking ~dmi ~quantum ~engine ~policy_of =
   let img = Firmware.Qsort_fw.image ~n:1000 ~rounds:4 () in
   let policy = policy_of img in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
   let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking ~dmi ~quantum ~block_cache
-      ~fast_path ()
+    Vp.Soc.create ~policy ~monitor ~tracking ~dmi ~quantum ~engine ()
   in
   Vp.Soc.load_image soc img;
   soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000_000;
@@ -284,7 +279,7 @@ let qsort_case ~mode ~tracking ~dmi ~quantum ~block_cache ~fast_path
   {
     D.m_workload = "qsort";
     m_mode = mode;
-    m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
+    m_engine = Rv32.Core.engine_name engine;
     m_instructions = instr;
     m_seconds = dt;
     m_mips = D.mips instr dt;
@@ -339,38 +334,38 @@ let unrestricted_policy img =
   let lat = Dift.Lattice.integrity () in
   Dift.Policy.unrestricted lat ~default_tag:(Dift.Lattice.tag_of_name lat "HI")
 
-let ablate_dmi ~block_cache ~fast_path () =
+let ablate_dmi ~engine () =
   pf "=== Ablation: DMI fast path vs full TLM routing (qsort) ===\n\n";
   let rows =
     relativize
       (List.map
          (fun (mode, dmi, tracking) ->
-           qsort_case ~mode ~tracking ~dmi ~quantum:1000 ~block_cache
-             ~fast_path ~policy_of:D.integrity_policy)
+           qsort_case ~mode ~tracking ~dmi ~quantum:1000 ~engine
+             ~policy_of:D.integrity_policy)
          [ ("vp+dmi", true, false); ("vp+tlm-only", false, false);
            ("vp++dmi", true, true); ("vp++tlm-only", false, true) ])
   in
   print_cases rows;
   write_report ~file:"BENCH_ablate_dmi.json" ~bench:"ablate-dmi" ~scale:1.
-    ~block_cache ~fast_path rows
+    rows
 
-let ablate_policy ~block_cache ~fast_path () =
+let ablate_policy ~engine () =
   pf "=== Ablation: cost decomposition of the DIFT engine (qsort) ===\n\n";
   let rows =
     relativize
       (List.map
          (fun (mode, tracking, policy_of) ->
-           qsort_case ~mode ~tracking ~dmi:true ~quantum:1000 ~block_cache
-             ~fast_path ~policy_of)
+           qsort_case ~mode ~tracking ~dmi:true ~quantum:1000 ~engine
+             ~policy_of)
          [ ("vp-no-tags", false, D.integrity_policy);
            ("vp+tags-only", true, unrestricted_policy);
            ("vp+tags+fetch-check", true, D.integrity_policy) ])
   in
   print_cases rows;
   write_report ~file:"BENCH_ablate_policy.json" ~bench:"ablate-policy"
-    ~scale:1. ~block_cache ~fast_path rows
+    ~scale:1. rows
 
-let ablate_quantum ~block_cache ~fast_path () =
+let ablate_quantum ~engine () =
   pf "=== Ablation: loosely-timed quantum sweep (qsort, VP+) ===\n\n";
   let rows =
     relativize
@@ -378,15 +373,15 @@ let ablate_quantum ~block_cache ~fast_path () =
          (fun quantum ->
            qsort_case
              ~mode:(Printf.sprintf "quantum-%d" quantum)
-             ~tracking:true ~dmi:true ~quantum ~block_cache ~fast_path
+             ~tracking:true ~dmi:true ~quantum ~engine
              ~policy_of:D.integrity_policy)
          [ 1; 10; 100; 1000; 10000 ])
   in
   print_cases rows;
   write_report ~file:"BENCH_ablate_quantum.json" ~bench:"ablate-quantum"
-    ~scale:1. ~block_cache ~fast_path rows
+    ~scale:1. rows
 
-let ablate_lub ~block_cache ~fast_path () =
+let ablate_lub () =
   pf "=== Ablation: precomputed LUB table vs on-the-fly search ===\n\n";
   let lats =
     [ ("ifp2", "IFP-2 (2 classes)", Dift.Lattice.integrity ());
@@ -417,7 +412,7 @@ let ablate_lub ~block_cache ~fast_path () =
           {
             D.m_workload = key;
             m_mode = mode;
-            m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
+            m_engine = Rv32.Core.engine_name Rv32.Core.Compiled;
             m_instructions = iters;
             m_seconds = t;
             m_mips = D.mips iters t;
@@ -448,11 +443,11 @@ let ablate_lub ~block_cache ~fast_path () =
       lats
   in
   write_report ~file:"BENCH_ablate_lub.json" ~bench:"ablate-lub" ~scale:1.
-    ~block_cache ~fast_path rows
+    rows
 
 (* Overhead vs lattice size: the LUB table should keep the per-class cost
    flat (an experiment beyond the paper). *)
-let sweep_lattice ~block_cache ~fast_path () =
+let sweep_lattice ~engine () =
   pf "=== Sweep: VP+ overhead vs IFP size (qsort) ===\n\n";
   let lattices =
     [ ("ifp2-2", Dift.Lattice.integrity ());
@@ -462,7 +457,7 @@ let sweep_lattice ~block_cache ~fast_path () =
   in
   let baseline =
     qsort_case ~mode:"vp-baseline" ~tracking:false ~dmi:true ~quantum:1000
-      ~block_cache ~fast_path ~policy_of:D.integrity_policy
+      ~engine ~policy_of:D.integrity_policy
   in
   let img = Firmware.Qsort_fw.image ~n:1000 ~rounds:4 () in
   let tracked =
@@ -477,14 +472,14 @@ let sweep_lattice ~block_cache ~fast_path () =
             ~exec_fetch:(Option.get (Dift.Lattice.top lat))
             ()
         in
-        qsort_case ~mode ~tracking:true ~dmi:true ~quantum:1000 ~block_cache
-          ~fast_path ~policy_of)
+        qsort_case ~mode ~tracking:true ~dmi:true ~quantum:1000 ~engine
+          ~policy_of)
       lattices
   in
   let rows = relativize (baseline :: tracked) in
   print_cases rows;
   write_report ~file:"BENCH_sweep_lattice.json" ~bench:"sweep-lattice"
-    ~scale:1. ~block_cache ~fast_path rows
+    ~scale:1. rows
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot cost                                                       *)
@@ -494,7 +489,7 @@ let sweep_lattice ~block_cache ~fast_path () =
    put a price on Soc.save alone and on the full save + restore-into-a-
    fresh-SoC cycle, relative to the uninterrupted run; per-snapshot
    latency and encoded size are printed alongside. *)
-let bench_snapshot ~block_cache ~fast_path () =
+let bench_snapshot ~engine () =
   pf "=== Snapshot: full-platform save/restore cost (qsort, VP+) ===\n\n";
   let img = Firmware.Qsort_fw.image ~n:1000 ~rounds:4 () in
   let stride = 100_000 in
@@ -502,8 +497,7 @@ let bench_snapshot ~block_cache ~fast_path () =
     let policy = D.integrity_policy img in
     let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
     let soc =
-      Vp.Soc.create ~policy ~monitor ~tracking:true ~quantum:1000 ~block_cache
-        ~fast_path ()
+      Vp.Soc.create ~policy ~monitor ~tracking:true ~quantum:1000 ~engine ()
     in
     Vp.Soc.load_image soc img;
     soc.Vp.Soc.cpu.Vp.Soc.cpu_set_max 500_000_000;
@@ -515,7 +509,7 @@ let bench_snapshot ~block_cache ~fast_path () =
     {
       D.m_workload = "qsort";
       m_mode = mode;
-      m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
+      m_engine = Rv32.Core.engine_name engine;
       m_instructions = instr;
       m_seconds = dt;
       m_mips = D.mips instr dt;
@@ -600,7 +594,7 @@ let bench_snapshot ~block_cache ~fast_path () =
       (1000. *. !save_s /. float_of_int !snaps)
       (1000. *. !restore_s /. float_of_int (max 1 !snaps));
   write_report ~file:"BENCH_snapshot.json" ~bench:"snapshot" ~scale:1.
-    ~block_cache ~fast_path rows
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Parallel campaign engine                                            *)
@@ -615,7 +609,7 @@ let bench_snapshot ~block_cache ~fast_path () =
    host_domains). Reports from the jobs=1 and jobs=N campaigns are
    compared for byte equality and the verdict lands in the rows'
    exit_ok, so a determinism regression poisons the artifact loudly. *)
-let bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path () =
+let bench_parallel ~jobs ~warm ~reps () =
   pf "=== Parallel campaign engine: wall vs cpu scaling ===\n\n";
   let host = Parallelkit.Pool.default_jobs () in
   pf "host: %d recommended domain(s); rows at jobs=1 and jobs=%d, %d rep(s) per row, warm-start %s\n\n"
@@ -747,7 +741,7 @@ let bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path () =
           ("ws_reports_identical", Benchkit.Json.Bool ws_same);
           ("steals", Benchkit.Json.num_of_int steal_stats.Parallelkit.Pool.steals);
         ]
-      ~bench:"parallel" ~scale:1. ~block_cache ~fast_path rows
+      ~bench:"parallel" ~scale:1. rows
   in
   (match D.validate doc with
   | Ok () -> ()
@@ -768,7 +762,7 @@ let bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path () =
    (docs/ift_graph.md); exit_ok on both rows asserts the whole chain —
    attack detected, cold query reaching a seed, repeat answered without
    another store read. *)
-let bench_graph ~block_cache ~fast_path () =
+let bench_graph () =
   pf "=== Graph store: ingest + backward-query cost (mtvec hijack) ===\n\n";
   let scenario = Firmware.Trap_attacks.Mtvec_hijack in
   let img = Firmware.Trap_attacks.image scenario in
@@ -822,8 +816,7 @@ let bench_graph ~block_cache ~fast_path () =
       ~ingest_ns ~query_ns ~nodes ~edges ()
   in
   let rows = [ row "analyze-cold" cold_ns; row "analyze-warm" warm_ns ] in
-  write_report ~file:"BENCH_graph.json" ~bench:"graph" ~scale:1. ~block_cache
-    ~fast_path rows
+  write_report ~file:"BENCH_graph.json" ~bench:"graph" ~scale:1. rows
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-measurements                                          *)
@@ -948,29 +941,26 @@ let () =
   List.iter
     (fun f ->
       if
-        f <> "--no-block-cache" && f <> "--no-fast-path" && f <> "--trace"
-        && f <> "--no-warm-start"
+        f <> "--trace" && f <> "--no-warm-start"
         && not (starts_with "--jobs=" f)
         && not (starts_with "--reps=" f)
         && not (starts_with "--engine=" f)
         && not (starts_with "--only=" f)
       then begin
         pf
-          "unknown flag %S (known: --no-block-cache --no-fast-path --trace \
-           --no-warm-start --jobs=N --reps=N \
-           --engine=interp|threaded|superblock --only=W1[,W2,...])\n"
+          "unknown flag %S (known: --trace --no-warm-start --jobs=N \
+           --reps=N --engine=step|compiled --only=W1[,W2,...])\n"
           f;
         exit 1
       end)
     flags;
-  let block_cache = not (List.mem "--no-block-cache" flags) in
-  let fast_path = not (List.mem "--no-fast-path" flags) in
   let trace = List.mem "--trace" flags in
   let warm = not (List.mem "--no-warm-start" flags) in
   let jobs = int_flag "--jobs" (Parallelkit.Pool.default_jobs ()) in
   let reps = int_flag "--reps" 1 in
   (* --engine= is repeatable: table2 measures once per named engine
-     (given order, duplicates collapsed); default superblock only. *)
+     (given order, duplicates collapsed); default compiled only. The
+     other simulation subcommands run on the first named engine. *)
   let engines =
     let named =
       List.filter_map
@@ -981,15 +971,15 @@ let () =
             match Rv32.Core.engine_of_string v with
             | Some e -> Some e
             | None ->
-                pf "flag --engine needs interp, threaded or superblock (got %S)\n"
-                  v;
+                pf "flag --engine needs step or compiled (got %S)\n" v;
                 exit 1)
         flags
     in
     match List.fold_left (fun acc e -> if List.mem e acc then acc else acc @ [ e ]) [] named with
-    | [] -> [ Rv32.Core.Threaded_superblock ]
+    | [] -> [ Rv32.Core.Compiled ]
     | es -> es
   in
+  let engine = List.hd engines in
   let only =
     List.fold_left
       (fun acc f ->
@@ -1008,46 +998,46 @@ let () =
   | "fig1" :: _ -> fig1 ()
   | "table1" :: _ -> table1 ~jobs ()
   | "table2" :: _ ->
-      table2 ~scale ~block_cache ~fast_path ~trace ~engines ~only ()
+      table2 ~scale ~trace ~engines ~only ()
   | "loc" :: _ -> loc_report ()
-  | "ablate-dmi" :: _ -> ablate_dmi ~block_cache ~fast_path ()
-  | "ablate-policy" :: _ -> ablate_policy ~block_cache ~fast_path ()
-  | "ablate-lub" :: _ -> ablate_lub ~block_cache ~fast_path ()
-  | "ablate-quantum" :: _ -> ablate_quantum ~block_cache ~fast_path ()
-  | "sweep-lattice" :: _ -> sweep_lattice ~block_cache ~fast_path ()
-  | "snapshot" :: _ -> bench_snapshot ~block_cache ~fast_path ()
+  | "ablate-dmi" :: _ -> ablate_dmi ~engine ()
+  | "ablate-policy" :: _ -> ablate_policy ~engine ()
+  | "ablate-lub" :: _ -> ablate_lub ()
+  | "ablate-quantum" :: _ -> ablate_quantum ~engine ()
+  | "sweep-lattice" :: _ -> sweep_lattice ~engine ()
+  | "snapshot" :: _ -> bench_snapshot ~engine ()
   | "parallel" :: _ ->
-      bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path ()
-  | "graph" :: _ -> bench_graph ~block_cache ~fast_path ()
+      bench_parallel ~jobs ~warm ~reps ()
+  | "graph" :: _ -> bench_graph ()
   | "table2-extended" :: _ ->
-      table2_extended ~scale ~block_cache ~fast_path ~trace ~engines ~only ()
+      table2_extended ~scale ~trace ~engines ~only ()
   | "bechamel" :: _ -> bechamel ()
   | "all" :: _ | [] ->
       fig1 ();
       pf "\n";
       table1 ~jobs ();
       pf "\n";
-      table2 ~scale:1. ~block_cache ~fast_path ~trace ~engines ~only ();
+      table2 ~scale:1. ~trace ~engines ~only ();
       pf "\n";
       loc_report ();
       pf "\n";
-      ablate_dmi ~block_cache ~fast_path ();
+      ablate_dmi ~engine ();
       pf "\n";
-      ablate_policy ~block_cache ~fast_path ();
+      ablate_policy ~engine ();
       pf "\n";
-      ablate_lub ~block_cache ~fast_path ();
+      ablate_lub ();
       pf "\n";
-      ablate_quantum ~block_cache ~fast_path ();
+      ablate_quantum ~engine ();
       pf "\n";
-      sweep_lattice ~block_cache ~fast_path ();
+      sweep_lattice ~engine ();
       pf "\n";
-      bench_snapshot ~block_cache ~fast_path ();
+      bench_snapshot ~engine ();
       pf "\n";
-      bench_parallel ~jobs ~warm ~reps ~block_cache ~fast_path ();
+      bench_parallel ~jobs ~warm ~reps ();
       pf "\n";
-      bench_graph ~block_cache ~fast_path ();
+      bench_graph ();
       pf "\n";
-      table2_extended ~scale:1. ~block_cache ~fast_path ~trace ~engines ~only ()
+      table2_extended ~scale:1. ~trace ~engines ~only ()
   | cmd :: _ ->
       pf "unknown command %S\n" cmd;
       exit 1

@@ -109,8 +109,7 @@ type raw = {
   raw_exit_ok : bool;
 }
 
-let run_def ?(block_cache = true) ?(fast_path = true) ?(trace = false)
-    ?(engine = Rv32.Core.Threaded_superblock) ~tracking def =
+let run_def ?(trace = false) ?(engine = Rv32.Core.Compiled) ~tracking def =
   let img = def.make_image () in
   let policy = def.make_policy img in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
@@ -124,8 +123,7 @@ let run_def ?(block_cache = true) ?(fast_path = true) ?(trace = false)
     else None
   in
   let soc =
-    Vp.Soc.create ~policy ~monitor ~tracking ~block_cache ~fast_path ~engine
-      ?sensor_period:def.sensor_period ?aes_out_tag ?aes_in_clearance ?tracer ()
+    Vp.Soc.create ~policy ~monitor ~tracking ~engine ?sensor_period:def.sensor_period ?aes_out_tag ?aes_in_clearance ?tracer ()
   in
   Vp.Soc.load_image soc img;
   def.setup soc;
@@ -182,9 +180,8 @@ type measurement = {
 let mips instructions seconds =
   if seconds > 0. then float_of_int instructions /. seconds /. 1e6 else 0.
 
-let measurement_of_raw ?(trace = false)
-    ?(engine = Rv32.Core.Threaded_superblock) ~workload ~mode ~overhead
-    ~loc_asm r =
+let measurement_of_raw ?(trace = false) ?(engine = Rv32.Core.Compiled)
+    ~workload ~mode ~overhead ~loc_asm r =
   {
     m_workload = workload;
     m_mode = mode;
@@ -219,7 +216,7 @@ let parallel_row ?(exit_ok = true) ~workload ~mode ~jobs ~tasks ~instructions
   {
     m_workload = workload;
     m_mode = mode;
-    m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
+    m_engine = Rv32.Core.engine_name Rv32.Core.Compiled;
     m_instructions = instructions;
     m_seconds = secs;
     m_mips = mips instructions secs;
@@ -254,7 +251,7 @@ let graph_row ?(exit_ok = true) ~workload ~mode ~store_bytes ~ingest_ns
   {
     m_workload = workload;
     m_mode = mode;
-    m_engine = Rv32.Core.engine_name Rv32.Core.Threaded_superblock;
+    m_engine = Rv32.Core.engine_name Rv32.Core.Compiled;
     m_instructions = 0;
     m_seconds = secs;
     m_mips = 0.;
@@ -279,10 +276,9 @@ let graph_row ?(exit_ok = true) ~workload ~mode ~store_bytes ~ingest_ns
     m_edges = Some edges;
   }
 
-let measure ?(block_cache = true) ?(fast_path = true) ?(trace = false)
-    ?(engine = Rv32.Core.Threaded_superblock) def =
-  let vp = run_def ~block_cache ~fast_path ~engine ~tracking:false def in
-  let vpp = run_def ~block_cache ~fast_path ~engine ~tracking:true def in
+let measure ?(trace = false) ?(engine = Rv32.Core.Compiled) def =
+  let vp = run_def ~engine ~tracking:false def in
+  let vpp = run_def ~engine ~tracking:true def in
   let loc_asm = (def.make_image ()).Rv32_asm.Image.insn_count in
   let rel r = if vp.raw_seconds > 0. then r.raw_seconds /. vp.raw_seconds else 1. in
   let base =
@@ -295,9 +291,7 @@ let measure ?(block_cache = true) ?(fast_path = true) ?(trace = false)
   in
   if not trace then base
   else
-    let vpt =
-      run_def ~block_cache ~fast_path ~engine ~trace:true ~tracking:true def
-    in
+    let vpt = run_def ~engine ~trace:true ~tracking:true def in
     base
     @ [
         measurement_of_raw ~trace:true ~engine ~workload:def.d_name
@@ -337,14 +331,9 @@ let row m =
     @ opt "nodes" m.m_nodes Json.num_of_int
     @ opt "edges" m.m_edges Json.num_of_int)
 
-let doc ?(extra = []) ~bench ~scale ~block_cache ~fast_path rows =
+let doc ?(extra = []) ~bench ~scale rows =
   Json.Obj
-    ([
-       ("bench", Json.Str bench);
-       ("scale", Json.Num scale);
-       ("block_cache", Json.Bool block_cache);
-       ("fast_path", Json.Bool fast_path);
-     ]
+    ([ ("bench", Json.Str bench); ("scale", Json.Num scale) ]
     @ extra
     @ [ ("rows", Json.List (List.map row rows)) ])
 
@@ -361,8 +350,6 @@ let validate j =
   let* () = if bench <> "" then Ok () else Error "empty \"bench\"" in
   let* scale = field "scale" Json.to_num j in
   let* () = if scale > 0. then Ok () else Error "\"scale\" must be > 0" in
-  let* (_ : bool) = field "block_cache" Json.to_bool j in
-  let* (_ : bool) = field "fast_path" Json.to_bool j in
   let* rows = field "rows" Json.to_list j in
   let* () = if rows <> [] then Ok () else Error "\"rows\" must be non-empty" in
   List.fold_left
@@ -392,15 +379,14 @@ let validate j =
         if overhead > 0. then Ok () else ctx "\"overhead\" must be > 0"
       in
       (* Optional: rows from engine-aware producers name their execution
-         engine; older reports omit the field. *)
+         engine, which must be one that ships. *)
       let* () =
         match Json.member "engine" r with
         | None -> Ok ()
         | Some v -> (
-            match Json.to_str v with
-            | Some "" -> ctx "empty optional field \"engine\""
-            | Some (_ : string) -> Ok ()
-            | None -> ctx "ill-typed optional field \"engine\"")
+            match Option.bind (Json.to_str v) Rv32.Core.engine_of_string with
+            | Some (_ : Rv32.Core.engine) -> Ok ()
+            | None -> ctx "optional field \"engine\" names no engine")
       in
       (* Optional: rows from trace-enabled runs carry a boolean marker. *)
       let* () =
@@ -423,9 +409,9 @@ let validate j =
             | None ->
                 ctx (Printf.sprintf "ill-typed optional field %S" name))
       in
-      (* Optional block-engine fields: all four travel together (a row
-         from a superblock-capable producer carries the whole group;
-         older reports omit them all). *)
+      (* Optional block-engine fields: all four travel together (a
+         simulation row carries the whole group; parallel and graph rows
+         omit them all). *)
       let* sblocks = opt "superblocks_built" Json.to_int (fun n -> n >= 0) in
       let* chain = opt "chain_hits" Json.to_int (fun n -> n >= 0) in
       let* ic_h = opt "ic_hits" Json.to_int (fun n -> n >= 0) in

@@ -38,7 +38,7 @@ type measurement = {
   m_mode : string;  (** ["vp"] / ["vp+"] (or an ablation label). *)
   m_engine : string;
       (** {!Rv32.Core.engine_name} of the execution engine the row was
-          measured under (["superblock"] / ["threaded"] / ["interp"]). *)
+          measured under (["compiled"] / ["step"]). *)
   m_instructions : int;  (** Retired, from the core's counter. *)
   m_seconds : float;  (** Monotonic wall time of the simulation. *)
   m_mips : float;
@@ -49,8 +49,7 @@ type measurement = {
       (** Block-engine rows only: superblock chains linked. The four
           option fields travel together ([Some] on rows {!measure}
           produced, [None] on parallel / graph rows); {!validate}
-          enforces this. All four are zero under engines without the
-          superblock tier. *)
+          enforces this. All four are zero under [Step]. *)
   m_chain_hits : int option;  (** In-chain block-to-block transitions. *)
   m_ic_hits : int option;  (** [jalr] inline-cache direct entries. *)
   m_ic_misses : int option;  (** [jalr] inline-cache misses/demotions. *)
@@ -78,21 +77,19 @@ type measurement = {
 }
 
 val measure :
-  ?block_cache:bool ->
-  ?fast_path:bool ->
   ?trace:bool ->
   ?engine:Rv32.Core.engine ->
   def ->
   measurement list
-(** Run the workload on VP then VP+ (cache/fast-path flags forwarded to
-    {!Vp.Soc.create}, default on) and return the two rows in that order.
+(** Run the workload on VP then VP+ and return the two rows in that
+    order.
     With [~trace:true] a third ["vp+trace"] row follows: VP+ with a
     {!Trace.Tracer} attached (ring + provenance + bus observer), its
     overhead relative to the same vp row — the guardrail number for the
     tracing subsystem's cost. The default remains exactly two rows.
-    [engine] (default {!Rv32.Core.Threaded_superblock}) selects the
-    core's execution engine for every run and is recorded in each row's
-    [m_engine] — the engine-vs-engine perf comparison measures the same
+    [engine] (default {!Rv32.Core.Compiled}) selects the core's
+    execution engine for every run and is recorded in each row's
+    [m_engine] — the step-vs-compiled perf comparison measures the same
     workload once per engine. *)
 
 val mips : int -> float -> float
@@ -141,8 +138,6 @@ val doc :
   ?extra:(string * Json.t) list ->
   bench:string ->
   scale:float ->
-  block_cache:bool ->
-  fast_path:bool ->
   measurement list ->
   Json.t
 (** The full report document. [extra] appends top-level fields (e.g. the
@@ -150,12 +145,13 @@ val doc :
     unknown fields, so consumers stay compatible. *)
 
 val validate : Json.t -> (unit, string) result
-(** Schema check: [bench] non-empty string, [scale] > 0, [block_cache] /
-    [fast_path] booleans, [rows] a non-empty list where every row has a
+(** Schema check: [bench] non-empty string, [scale] > 0, [rows] a
+    non-empty list where every row has a
     non-empty [workload], a [mode] string, integral [instructions >= 0],
     [seconds >= 0], [mips >= 0] and [overhead > 0]. A row's optional
     [trace] field, when present, must be a boolean; its optional [engine]
-    field, when present, a non-empty string. The block-engine fields
+    field, when present, a name {!Rv32.Core.engine_of_string} accepts.
+    The block-engine fields
     [superblocks_built], [chain_hits], [ic_hits] and [ic_misses] (ints
     >= 0) must appear all together or not at all. The parallel fields
     [jobs] (int >= 1), [wall_ns] / [cpu_ns] (ints >= 0) and

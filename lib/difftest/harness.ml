@@ -7,9 +7,8 @@ type config = {
   graph_dir : string option;
   props_every : int;
   inject : string option;
-  cache_diff : bool;
   snap_diff : bool;
-  engines : Rv32.Core.engine list;
+  engine_diff : bool;
   jobs : int;
   warm_start : bool;
   shard_size : int;
@@ -27,9 +26,8 @@ let default =
     graph_dir = None;
     props_every = 5;
     inject = None;
-    cache_diff = false;
     snap_diff = false;
-    engines = [ Rv32.Core.Threaded_superblock ];
+    engine_diff = false;
     jobs = 1;
     warm_start = true;
     shard_size = 25;
@@ -48,7 +46,7 @@ let fingerprint cfg =
   let opt = function None -> "-" | Some s -> "+" ^ s in
   String.concat "|"
     [
-      "difftest-campaign-v1";
+      "difftest-campaign-v2";
       string_of_int cfg.seed;
       string_of_int cfg.programs;
       string_of_int cfg.size;
@@ -57,9 +55,8 @@ let fingerprint cfg =
       opt cfg.graph_dir;
       string_of_int cfg.props_every;
       opt cfg.inject;
-      string_of_bool cfg.cache_diff;
       string_of_bool cfg.snap_diff;
-      String.concat "," (List.map Rv32.Core.engine_name cfg.engines);
+      string_of_bool cfg.engine_diff;
       string_of_int cfg.shard_size;
     ]
 
@@ -84,7 +81,6 @@ type report = {
   monotonicity_failures : int;
   trap_taint_failures : int;
   declass_violations : int;
-  cache_mismatches : int;
   snapshot_mismatches : int;
   engine_mismatches : int;
   injected_hits : int;
@@ -99,7 +95,7 @@ let healthy r =
   r.golden_mismatches = 0 && r.transparency_mismatches = 0
   && r.purity_failures = 0 && r.monotonicity_failures = 0
   && r.trap_taint_failures = 0
-  && r.declass_violations = 0 && r.cache_mismatches = 0
+  && r.declass_violations = 0
   && r.snapshot_mismatches = 0 && r.engine_mismatches = 0 && r.errors = 0
 
 (* Mutable accumulator threaded through the run loop. *)
@@ -111,7 +107,6 @@ type acc = {
   mutable a_monotonic : int;
   mutable a_trap_taint : int;
   mutable a_declass : int;
-  mutable a_cache : int;
   mutable a_snapshot : int;
   mutable a_engine : int;
   mutable a_injected : int;
@@ -133,7 +128,7 @@ let encode_shard ((acc : acc), cov) =
   List.iter (put_varint w)
     [
       acc.a_completed; acc.a_golden; acc.a_transparency; acc.a_purity;
-      acc.a_monotonic; acc.a_trap_taint; acc.a_declass; acc.a_cache;
+      acc.a_monotonic; acc.a_trap_taint; acc.a_declass;
       acc.a_snapshot; acc.a_engine; acc.a_injected; acc.a_violations;
       acc.a_checks; acc.a_errors;
     ];
@@ -167,7 +162,6 @@ let decode_shard payload =
   let a_monotonic = c () in
   let a_trap_taint = c () in
   let a_declass = c () in
-  let a_cache = c () in
   let a_snapshot = c () in
   let a_engine = c () in
   let a_injected = c () in
@@ -193,7 +187,7 @@ let decode_shard payload =
   expect_end r;
   ( {
       a_completed; a_golden; a_transparency; a_purity; a_monotonic;
-      a_trap_taint; a_declass; a_cache; a_snapshot; a_engine; a_injected;
+      a_trap_taint; a_declass; a_snapshot; a_engine; a_injected;
       a_violations; a_checks; a_errors; a_failures;
     },
     cov )
@@ -311,13 +305,6 @@ let record_failure cfg acc ~index ~kind ~detail ~predicate prog =
    the immutable warm-boot blob.  Reproducer files are keyed by the
    global program index, so concurrent shards never collide on paths. *)
 let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
-  (* The head of [engines] is the engine every base leg runs on; the tail
-     is cross-checked against it by the engine-differential leg. *)
-  let base_engine, cross_engines =
-    match cfg.engines with
-    | [] -> (Rv32.Core.Threaded_superblock, [])
-    | e :: rest -> (e, rest)
-  in
   let rng = Rng.create ~seed:sh.Parallelkit.Campaign.seed in
   let prng =
     Rng.create ~seed:(sh.Parallelkit.Campaign.seed lxor 0x9e3779b9)
@@ -332,7 +319,6 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
       a_monotonic = 0;
       a_trap_taint = 0;
       a_declass = 0;
-      a_cache = 0;
       a_snapshot = 0;
       a_engine = 0;
       a_injected = 0;
@@ -350,8 +336,7 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
       let policy = Gen.policy rng img in
       let percov = Coverage.create () in
       let res =
-        Oracle.run ~engine:base_engine ~policy ~trace:(Coverage.hook percov)
-          ?warm img
+        Oracle.run ~policy ~trace:(Coverage.hook percov) ?warm img
       in
       Coverage.merge ~into:cov percov;
       acc.a_violations <- acc.a_violations + res.Oracle.violations;
@@ -441,53 +426,7 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
               prog
         | Props.Ok -> ()
       end;
-      (* 5. Block-cache transparency: the same program single-stepped
-         (block cache and fast path off) must agree with the cached runs
-         already taken by the oracle above, on both flavours. *)
-      if cfg.cache_diff then begin
-        let nocache_vpp, _ =
-          Oracle.run_vp ~tracking:true ~block_cache:false ~fast_path:false
-            ~policy img
-        in
-        (match Oracle.explain res.Oracle.vpp nocache_vpp with
-        | Some detail ->
-            acc.a_cache <- acc.a_cache + 1;
-            record_failure cfg acc ~index:i ~kind:"cache-vs-nocache"
-              ~detail:(Printf.sprintf "VP+ cached vs single-step: %s" detail)
-              ~predicate:(fun p ->
-                try
-                  let img = Prog.assemble p in
-                  let cached, _ = Oracle.run_vp ~tracking:true ~policy img in
-                  let plain, _ =
-                    Oracle.run_vp ~tracking:true ~block_cache:false
-                      ~fast_path:false ~policy img
-                  in
-                  not (Oracle.agree cached plain)
-                with _ -> false)
-              prog
-        | None -> ());
-        let nocache_vp, _ =
-          Oracle.run_vp ~tracking:false ~block_cache:false ~fast_path:false img
-        in
-        match Oracle.explain res.Oracle.vp nocache_vp with
-        | Some detail ->
-            acc.a_cache <- acc.a_cache + 1;
-            record_failure cfg acc ~index:i ~kind:"cache-vs-nocache"
-              ~detail:(Printf.sprintf "VP cached vs single-step: %s" detail)
-              ~predicate:(fun p ->
-                try
-                  let img = Prog.assemble p in
-                  let cached, _ = Oracle.run_vp ~tracking:false img in
-                  let plain, _ =
-                    Oracle.run_vp ~tracking:false ~block_cache:false
-                      ~fast_path:false img
-                  in
-                  not (Oracle.agree cached plain)
-                with _ -> false)
-              prog
-        | None -> ()
-      end;
-      (* 6. Snapshot transparency: the same program run in checkpointed
+      (* 5. Snapshot transparency: the same program run in checkpointed
          segments — pause, save, restore into a fresh SoC, continue —
          must agree with an uninterrupted run on the same time-sync
          grid. The shrink predicate replays the whole snapshot cycle. *)
@@ -517,65 +456,40 @@ let run_shard cfg warm (sh : Parallelkit.Campaign.shard) =
               prog
         | None -> ()
       end;
-      (* 7. Engine differential: every additional engine in the config
-         must retire byte-identical architectural state on both flavours
-         — including taint tags on VP+ ([Oracle.agree] compares them when
-         both runs are tracked). A divergence means the threaded-code
-         compiler (or the interpreter) miscomputed a value or a tag. *)
-      List.iter
-        (fun other ->
-          let ename = Rv32.Core.engine_name other in
-          let other_vpp, _ =
-            Oracle.run_vp ~tracking:true ~engine:other ~policy img
-          in
-          (match Oracle.explain res.Oracle.vpp other_vpp with
-          | Some detail ->
-              acc.a_engine <- acc.a_engine + 1;
-              record_failure cfg acc ~index:i ~kind:"engine-diff"
-                ~detail:
-                  (Printf.sprintf "VP+ %s vs %s: %s"
-                     (Rv32.Core.engine_name base_engine)
-                     ename detail)
-                ~predicate:(fun p ->
-                  try
-                    let img = Prog.assemble p in
-                    let a, _ =
-                      Oracle.run_vp ~tracking:true ~engine:base_engine
-                        ~policy img
-                    in
-                    let b, _ =
-                      Oracle.run_vp ~tracking:true ~engine:other ~policy img
-                    in
-                    not (Oracle.agree a b)
-                  with _ -> false)
-                prog
-          | None -> ());
-          let other_vp, _ =
-            Oracle.run_vp ~tracking:false ~engine:other img
-          in
-          match Oracle.explain res.Oracle.vp other_vp with
-          | Some detail ->
-              acc.a_engine <- acc.a_engine + 1;
-              record_failure cfg acc ~index:i ~kind:"engine-diff"
-                ~detail:
-                  (Printf.sprintf "VP %s vs %s: %s"
-                     (Rv32.Core.engine_name base_engine)
-                     ename detail)
-                ~predicate:(fun p ->
-                  try
-                    let img = Prog.assemble p in
-                    let a, _ =
-                      Oracle.run_vp ~tracking:false ~engine:base_engine img
-                    in
-                    let b, _ =
-                      Oracle.run_vp ~tracking:false ~engine:other img
-                    in
-                    not (Oracle.agree a b)
-                  with _ -> false)
-                prog
-          | None -> ())
-        cross_engines;
-      (* 8. Fault injection: validate the detect-shrink-report pipeline. *)
+      (* 6. Engine differential: the same program under the reference
+         single-step engine must retire byte-identical architectural state
+         to the compiled base legs on both flavours — including taint tags
+         on VP+ ([Oracle.agree] compares them when both runs are tracked).
+         A divergence means the block compiler, its superblock / inline
+         cache tier or its value-only variant miscomputed a value or a
+         tag. *)
+      if cfg.engine_diff then
+        List.iter
+          (fun (tracking, base) ->
+            let policy = if tracking then Some policy else None in
+            let leg engine img =
+              fst (Oracle.run_vp ~tracking ~engine ?policy img)
+            in
+            match Oracle.explain base (leg Rv32.Core.Step img) with
+            | Some detail ->
+                acc.a_engine <- acc.a_engine + 1;
+                record_failure cfg acc ~index:i ~kind:"engine-diff"
+                  ~detail:
+                    (Printf.sprintf "%s compiled vs step: %s"
+                       (if tracking then "VP+" else "VP")
+                       detail)
+                  ~predicate:(fun p ->
+                    try
+                      let img = Prog.assemble p in
+                      not
+                        (Oracle.agree
+                           (leg Rv32.Core.Compiled img)
+                           (leg Rv32.Core.Step img))
+                    with _ -> false)
+                  prog
+            | None -> ())
+          [ (true, res.Oracle.vpp); (false, res.Oracle.vp) ];
+      (* 7. Fault injection: validate the detect-shrink-report pipeline. *)
       match cfg.inject with
       | Some op when Coverage.count percov op > 0 ->
           acc.a_injected <- acc.a_injected + 1;
@@ -673,7 +587,6 @@ let run ?(config = default) () =
     monotonicity_failures = sum (fun a -> a.a_monotonic);
     trap_taint_failures = sum (fun a -> a.a_trap_taint);
     declass_violations = sum (fun a -> a.a_declass);
-    cache_mismatches = sum (fun a -> a.a_cache);
     snapshot_mismatches = sum (fun a -> a.a_snapshot);
     engine_mismatches = sum (fun a -> a.a_engine);
     injected_hits = sum (fun a -> a.a_injected);
@@ -691,7 +604,6 @@ let pp_report fmt r =
      VP-vs-VP+ transparency mismatches: %d@,\
      purity failures: %d, monotonicity failures: %d, declassification violations: %d@,\
      trap-entry taint failures: %d@,\
-     block-cache mismatches: %d@,\
      snapshot-vs-straight mismatches: %d@,\
      engine-vs-engine mismatches: %d@,\
      injected-fault hits: %d@,\
@@ -700,7 +612,7 @@ let pp_report fmt r =
     r.programs r.completed r.golden_mismatches r.transparency_mismatches
     r.purity_failures r.monotonicity_failures r.declass_violations
     r.trap_taint_failures
-    r.cache_mismatches r.snapshot_mismatches r.engine_mismatches
+    r.snapshot_mismatches r.engine_mismatches
     r.injected_hits r.checks r.violations r.errors
     Coverage.pp r.coverage;
   List.iter

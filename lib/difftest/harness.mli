@@ -25,12 +25,6 @@ type config = {
           detect-shrink-report pipeline: treat any program executing this
           opcode mnemonic as failing (a stand-in for a real tag-propagation
           bug in that instruction). *)
-  cache_diff : bool;
-      (** Additionally re-run every program with the decoded basic-block
-          cache and untainted fast path disabled (both VP flavours) and
-          require architectural agreement with the cached runs — a
-          differential check of the dispatch machinery itself (see
-          [docs/perf.md]). Off by default: it doubles the oracle cost. *)
   snap_diff : bool;
       (** Additionally run every program chopped into checkpointed
           segments (pause, {!Vp.Soc.save}, restore into a fresh SoC,
@@ -38,15 +32,14 @@ type config = {
           uninterrupted run on the same time-sync grid — a differential
           check of the snapshot machinery. Off by default: it roughly
           triples the oracle cost. *)
-  engines : Rv32.Core.engine list;
-      (** Execution engines under test (default [[Threaded_superblock]]).
-          The head runs every base oracle leg; each engine in the tail is
-          additionally cross-checked against the head on both VP flavours
-          — byte-identical registers, scratch memory, instret {e and
-          taint tags} — a differential proof of the threaded-code block
-          compiler (and its superblock/inline-cache tier) against the
-          interpreter. Each extra entry adds roughly one VP cost per
-          program. *)
+  engine_diff : bool;
+      (** Additionally re-run every program under the reference
+          {!Rv32.Core.Step} engine on both VP flavours and require
+          byte-identical registers, scratch memory, instret {e and taint
+          tags} against the base legs, which run {!Rv32.Core.Compiled} —
+          a differential proof of the block compiler, its
+          superblock/inline-cache tier and its value-only variant (see
+          [docs/perf.md]). Off by default: it doubles the VP cost. *)
   jobs : int;
       (** Worker domains running shards concurrently (default 1).
           [jobs <= 1] takes the exact sequential code path (no domains
@@ -75,9 +68,8 @@ type config = {
           {e same} campaign: shards recorded there are decoded instead
           of re-run. The checkpoint's fingerprint must match every
           stream-determining config field (seed, programs, size, shrink
-          settings, props_every, inject, cache/snap diff, engines,
-          shard_size) — [jobs] and [warm_start] may differ freely; a
-          mismatch raises {!Parallelkit.Checkpoint.Mismatch}, a corrupt
+          settings, props_every, inject, snap/engine diff, shard_size)
+          — [jobs] and [warm_start] may differ freely; a mismatch raises {!Parallelkit.Checkpoint.Mismatch}, a corrupt
           or truncated file [Snapshot.Codec.Corrupt], in both cases
           before any oracle work runs. The merged report is
           byte-identical to an uninterrupted run's. Combine with
@@ -88,14 +80,13 @@ type config = {
 val default : config
 (** seed 0x5eed, 200 programs of 30 blocks, shrinking on, no file output
     (no reproducer or graph-store directories), properties every 5th
-    program, no injection, no cache / snapshot / engine differential
-    (engines = [[Threaded_superblock]] only); sequential ([jobs = 1]),
+    program, no injection, no snapshot / engine differential; sequential ([jobs = 1]),
     warm-start on, 25-program shards, no checkpointing or resume. *)
 
 type failure = {
   f_kind : string;
       (** ["golden-vs-vp"], ["transparency"], ["purity"], ["monotonicity"],
-          ["trap-entry-taint"], ["declassification"], ["cache-vs-nocache"],
+          ["trap-entry-taint"], ["declassification"],
           ["snapshot-vs-straight"], ["engine-diff"] or
           ["injected:<opcode>"]. *)
   f_detail : string;  (** First observed difference / property message. *)
@@ -126,15 +117,12 @@ type report = {
       (** Trap CSRs tainted by trap entry ({!Props.trap_entry_pub},
           must be 0). *)
   declass_violations : int;  (** Unsanctioned declassification (must be 0). *)
-  cache_mismatches : int;
-      (** Cached vs single-step execution disagreements, counted only when
-          [cache_diff] is set (must be 0). *)
   snapshot_mismatches : int;
       (** Checkpointed vs uninterrupted execution disagreements, counted
           only when [snap_diff] is set (must be 0). *)
   engine_mismatches : int;
-      (** Engine-vs-engine disagreements (state or tags), counted only
-          when [engines] lists more than one engine (must be 0). *)
+      (** Compiled-vs-step disagreements (state or tags), counted only
+          when [engine_diff] is set (must be 0). *)
   injected_hits : int;  (** Programs the injected fault flagged. *)
   violations : int;  (** Policy violations recorded (informational). *)
   checks : int;  (** Clearance checks performed (informational). *)

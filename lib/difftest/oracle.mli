@@ -1,10 +1,13 @@
 (** The three-way differential oracle: every program runs on the naive
     golden-model interpreter ({!Rv32.Golden}), the plain VP core and the
     VP+ core with DIFT tracking, and all three must agree on registers,
-    scratch memory and the retired-instruction count.
+    scratch memory and the retired-instruction count. The VP legs run on
+    the [Compiled] engine unless {!run_vp} is given [~engine:Step], the
+    reference interpreter the engine-differential leg compares against.
 
     Disagreement golden-vs-VP is an ISS semantics bug; VP-vs-VP+ is a
-    transparency bug (tag tracking changed an architectural value). *)
+    transparency bug (tag tracking changed an architectural value);
+    compiled-vs-step is an engine bug. *)
 
 type stop =
   | Exited of int  (** Exit ecall with the given code. *)
@@ -63,8 +66,6 @@ val warm_boot : unit -> warm
 
 val run_vp :
   tracking:bool ->
-  ?block_cache:bool ->
-  ?fast_path:bool ->
   ?engine:Rv32.Core.engine ->
   ?policy:Dift.Policy.t ->
   ?trace:(int -> Rv32.Insn.t -> unit) ->
@@ -76,12 +77,10 @@ val run_vp :
 (** One VP flavour; returns the outcome and the monitor's
     (violations, checks, declassifications). Without [policy] an
     unrestricted single-class policy is used. The monitor runs in [Record]
-    mode so checks never alter execution. [block_cache] / [fast_path]
-    (default true) forward to {!Vp.Soc.create} — run with
-    [~block_cache:false] to get a reference single-step execution for
-    cache-vs-nocache differential testing. [engine] selects the core's
-    execution engine (default {!Rv32.Core.Threaded_superblock}) for
-    engine-vs-engine differential testing. [tracer] attaches the tracing
+    mode so checks never alter execution. [engine] selects the core's
+    execution engine (default {!Rv32.Core.Compiled}); [~engine:Step]
+    gives the reference single-step execution for engine-vs-engine
+    differential testing. [tracer] attaches the tracing
     subsystem to the SoC (forensic replay of reproducers). [quantum]
     forwards to {!Vp.Soc.create} (snapshot-vs-straight comparisons need
     both runs on the same time-sync grid). [warm] stamps a boot snapshot
@@ -108,16 +107,14 @@ val run_vp_snapshot :
     Monitor counters are summed across segments. *)
 
 val run :
-  ?engine:Rv32.Core.engine ->
   ?policy:Dift.Policy.t ->
   ?trace:(int -> Rv32.Insn.t -> unit) ->
   ?warm:warm ->
   Rv32_asm.Image.t ->
   result3
-(** All three models. [engine] selects the execution engine of both VP
-    legs (default {!Rv32.Core.Threaded_superblock}); [policy] applies to
-    the VP+ run
-    only (the plain VP runs check-free on the same lattice); [trace] is
+(** All three models, both VP legs on the default engine. [policy]
+    applies to the VP+ run only (the plain VP runs check-free on the
+    same lattice); [trace] is
     installed on the VP+ run (coverage); [warm] warm-starts the plain-VP
     leg from a shared boot snapshot (the VP+ leg always cold-boots: its
     per-task policy changes the initial tag state — the blob itself is

@@ -9,28 +9,21 @@ type trap_event =
   | Trap_enter of { cause : int; epc : int; tval : int; handler : int }
   | Trap_return of { target : int; to_priv : int }
 
-(* Pluggable execution engines over the same decoded-block cache:
-   [Interp] dispatches blocks through the per-instruction execute loop;
-   [Threaded] compiles each block into a closure chain (threaded code)
-   with pre-resolved operands and an untainted specialization;
-   [Threaded_superblock] additionally chains hot block pairs across
-   their terminating branch into superblocks and inline-caches jalr
-   targets, so hot edges skip the dispatcher entirely. All engines
-   retire identical architectural state, tags, counters and hook streams
-   — pinned by test_threaded / test_superblock and the difftest
-   engine-diff legs. *)
-type engine = Interp | Threaded | Threaded_superblock
+(* The two execution engines. [Step] runs every instruction through
+   {!step}, the reference interpreter, with full DIFT. [Compiled] compiles
+   decoded basic blocks over the DMI region into closure chains (threaded
+   code) with a value-only variant for untainted state, chains hot block
+   pairs into superblocks and inline-caches jalr targets; it degrades to
+   [Step] on cores without a DMI region. Both retire identical
+   architectural state, tags, counters and hook streams — pinned by
+   test_engines and the difftest engine-diff leg. *)
+type engine = Step | Compiled
 
-let engine_name = function
-  | Interp -> "interp"
-  | Threaded -> "threaded"
-  | Threaded_superblock -> "superblock"
+let engine_name = function Step -> "step" | Compiled -> "compiled"
 
 let engine_of_string = function
-  | "interp" | "interpreter" -> Some Interp
-  | "threaded" -> Some Threaded
-  | "superblock" | "threaded-superblock" | "threaded_superblock" ->
-      Some Threaded_superblock
+  | "step" -> Some Step
+  | "compiled" -> Some Compiled
   | _ -> None
 
 module type MODE = sig
@@ -48,8 +41,6 @@ module type S = sig
     monitor:Dift.Monitor.t ->
     ?cycle_time:Sysc.Time.t ->
     ?quantum:int ->
-    ?block_cache:bool ->
-    ?fast_path:bool ->
     ?engine:engine ->
     ?strict_align:bool ->
     pc:int ->
@@ -180,7 +171,7 @@ module Make (M : MODE) = struct
      block is stored with [cb_n = 0] so the dispatcher falls back to
      {!step} without re-probing.
 
-     The superblock engine additionally keeps the decoded source
+     Each chain also keeps the decoded source
      ([cb_blk], for recompiling the block chained into a hot successor),
      an exit-edge profile ([cb_edge_pc]/[cb_edge_n]: the last observed
      dispatcher-entry pc after this chain ran, and how many consecutive
@@ -241,14 +232,13 @@ module Make (M : MODE) = struct
     pc_cache_base : int;
     pc_cache_words : int Table.t;  (* empty if no DMI region *)
     pc_cache_insns : Insn.t Table.t;
-    (* Decoded basic-block cache over the same region, keyed by start pc.
-       Unlike the per-word cache it is NOT self-validating: stores into
-       cached code must call {!flush_code} (wired from Bus_if and the
-       SoC memory model). *)
-    use_blocks : bool;
-    engine : engine;
-    blocks : block option Table.t;  (* Interp engine; empty when disabled *)
-    cblocks : cblock option Table.t;  (* Threaded engine; empty when disabled *)
+    (* Compiled-chain cache over the same region, keyed by start pc
+       ([compiled]: the Compiled engine on a core with a DMI region; the
+       table is empty otherwise). Unlike the per-word cache it is NOT
+       self-validating: stores into cached code must call {!flush_code}
+       (wired from Bus_if and the SoC memory model). *)
+    compiled : bool;
+    cblocks : cblock option Table.t;
     blk_base : int;
     blk_limit : int;
     mutable code_lo : int;  (* byte range ever covered by built blocks *)
@@ -256,27 +246,23 @@ module Make (M : MODE) = struct
     mutable flush_epoch : int;
     (* [flush_epoch] at entry of the currently running compiled chain;
        compiled instructions stop the chain when the two diverge (the
-       threaded engine's equivalent of exec_block's epoch0). *)
+       running chain's entry epoch). *)
     mutable chain_epoch : int;
-    (* Untainted fast path (tracking mode): when enabled and the current
-       block is b_fast with all register tags at bottom, tag propagation
-       and clearance checks are skipped — they can only produce bottom tags
-       and passing checks. [fast] is true only while such a block runs. *)
-    fast_enabled : bool;
-    (* Whether the threaded compiler may emit the value-only specialized
-       variant. Tracked cores inherit [fast_enabled]; untracked cores get
-       it whenever the fast path is configured on — with no tags anywhere
-       the specialization is exact semantics, not an optimistic gamble,
-       so it needs no per-entry tag precondition and never falls back. *)
-    fast_spec : bool;
+    (* Whether the compiler may emit the value-only variant of b_fast
+       blocks. On tracked cores it runs only while every register tag is
+       bottom (tag propagation and clearance checks could only produce
+       bottom tags and passing checks there); [fast] is true only while
+       such a chain runs. On untracked cores there are no tags at all, so
+       the variant is exact semantics, not an optimistic gamble, and
+       needs no per-entry tag precondition. *)
+    fast_ok : bool;
     mutable fast : bool;
-    (* Superblock chaining (Threaded_superblock engine): [prev_cb] is the
-       chain that ran in the previous scheduling round (exit-edge
-       profiling; [no_cb] when none did), [sblocks] the registry of slots
-       currently holding a recompiled superblock — their spans cover two
-       blocks, so invalidation scans the registry in addition to the
-       positional window. *)
-    superblocks : bool;
+    (* Superblock chaining: [prev_cb] is the chain that ran in the
+       previous scheduling round (exit-edge profiling; [no_cb] when none
+       did), [sblocks] the registry of slots currently holding a
+       recompiled superblock — their spans cover two blocks, so
+       invalidation scans the registry in addition to the positional
+       window. *)
     mutable prev_cb : cblock;
     mutable sblocks : (int * cblock) list;
     mutable n_blocks : int;
@@ -337,7 +323,7 @@ module Make (M : MODE) = struct
      code executed so far: one range compare. *)
   let flush_code t ~addr ~len =
     if
-      len > 0 && t.use_blocks
+      len > 0 && t.compiled
       && addr <= t.code_hi
       && addr + len - 1 >= t.code_lo
     then begin
@@ -349,16 +335,9 @@ module Make (M : MODE) = struct
       let hi = min last t.blk_limit in
       if lo <= hi then begin
         let i0 = (lo - t.blk_base) lsr 2 and i1 = (hi - t.blk_base) lsr 2 in
-        if Table.length t.blocks > 0 then
-          Table.drop_range t.blocks i0 i1 (function
-            | Some b ->
-                let words = max 1 (Array.length b.b_insns) in
-                b.b_pc + (4 * words) - 1 >= addr
-            | None -> false);
-        if Table.length t.cblocks > 0 then
-          Table.drop_range t.cblocks i0 i1 (function
-            | Some cb -> cb.cb_hi >= addr
-            | None -> false)
+        Table.drop_range t.cblocks i0 i1 (function
+          | Some cb -> cb.cb_hi >= addr
+          | None -> false)
       end;
       (* Superblocks span two blocks, so the slot may sit outside the
          positional window above; their registry is scanned by span.
@@ -380,8 +359,7 @@ module Make (M : MODE) = struct
     end
 
   let create ~kernel ~bus ~policy ~monitor ?(cycle_time = Sysc.Time.ns 10)
-      ?(quantum = 1000) ?(block_cache = true) ?(fast_path = true)
-      ?(engine = Threaded_superblock) ?(strict_align = false) ~pc () =
+      ?(quantum = 1000) ?(engine = Compiled) ?(strict_align = false) ~pc () =
     let pc_cache_base, pc_cache_words, pc_cache_insns =
       match Bus_if.dmi_range bus with
       | Some (base, limit) ->
@@ -397,38 +375,28 @@ module Make (M : MODE) = struct
     in
     let cache_entries, blk_base, blk_limit =
       match Bus_if.dmi_range bus with
-      | Some (base, limit) when block_cache ->
+      | Some (base, limit) when engine = Compiled ->
           (((limit - base) / 4) + 1, base, limit)
       | Some _ | None -> (0, 0, -1)
     in
-    (* Each engine keeps its own cache of derived block state: decoded
-       blocks for the interpreter, compiled closure chains for the
-       threaded engine. Only the selected engine's table has entries. *)
-    let blocks =
-      Table.create (if engine = Interp then cache_entries else 0) None
-    in
-    let cblocks : cblock option Table.t =
-      Table.create (if engine <> Interp then cache_entries else 0) None
-    in
-    (* The fast path is sound only if the bottom tag passes every check the
-       engine could skip: the execution clearances and all store-integrity
-       regions. Policies where bottom itself is not cleared (so every
-       instruction would violate) simply never take it. *)
+    let cblocks : cblock option Table.t = Table.create cache_entries None in
+    (* The fast variant is sound only if the bottom tag passes every check
+       it skips: the execution clearances and all store-integrity regions.
+       Policies where bottom itself is not cleared (so every instruction
+       would violate) simply never take it. *)
     let pub_flows_to = function
       | Some req -> Dift.Lattice.allowed_flow lat pub req
       | None -> true
     in
-    let fast_enabled =
-      M.tracking && fast_path && cache_entries > 0
-      && pub_flows_to policy.Dift.Policy.exec_fetch
-      && pub_flows_to policy.Dift.Policy.exec_branch
-      && pub_flows_to policy.Dift.Policy.exec_mem_addr
-      && List.for_all
-           (fun r -> Dift.Lattice.allowed_flow lat pub r.Dift.Policy.r_tag)
-           policy.Dift.Policy.store_clearance
-    in
-    let fast_spec =
-      if M.tracking then fast_enabled else fast_path && cache_entries > 0
+    let fast_ok =
+      cache_entries > 0
+      && ((not M.tracking)
+         || pub_flows_to policy.Dift.Policy.exec_fetch
+            && pub_flows_to policy.Dift.Policy.exec_branch
+            && pub_flows_to policy.Dift.Policy.exec_mem_addr
+            && List.for_all
+                 (fun r -> Dift.Lattice.allowed_flow lat pub r.Dift.Policy.r_tag)
+                 policy.Dift.Policy.store_clearance)
     in
     let t =
       {
@@ -455,9 +423,7 @@ module Make (M : MODE) = struct
         pc_cache_base;
         pc_cache_words;
         pc_cache_insns;
-        use_blocks = cache_entries > 0;
-        engine;
-        blocks;
+        compiled = cache_entries > 0;
         cblocks;
         blk_base;
         blk_limit;
@@ -465,10 +431,8 @@ module Make (M : MODE) = struct
         code_hi = min_int;
         flush_epoch = 0;
         chain_epoch = 0;
-        fast_enabled;
-        fast_spec;
+        fast_ok;
         fast = false;
-        superblocks = (engine = Threaded_superblock && cache_entries > 0);
         prev_cb = no_cb;
         sblocks = [];
         n_blocks = 0;
@@ -494,7 +458,7 @@ module Make (M : MODE) = struct
         on_trap = None;
       }
     in
-    if t.use_blocks then
+    if t.compiled then
       Bus_if.set_code_write_hook bus (fun addr len -> flush_code t ~addr ~len);
     t
 
@@ -529,8 +493,8 @@ module Make (M : MODE) = struct
 
   (* Compiled chains capture the hook value at compile time (the common
      no-hook case pays nothing per instruction), so changing it must drop
-     every compiled block and stop any running chain; the interpreter
-     reads [t.trace] dynamically and needs neither. *)
+     every compiled block and stop any running chain; {!step} reads
+     [t.trace] dynamically and needs neither. *)
   let set_trace t fn =
     t.trace <- fn;
     if Table.length t.cblocks > 0 then begin
@@ -783,7 +747,7 @@ module Make (M : MODE) = struct
     let itag = t.insn_tag in
     (* On the fast path every live tag is the bottom tag, so propagation is
        the identity and every clearance check passes by construction (see
-       [fast_enabled]); both are skipped. A tainted load drops [t.fast]
+       [fast_ok]); both are skipped. A tainted load drops [t.fast]
        inside set_reg_tagged, but [fast] here is deliberately the value at
        instruction entry: nothing after the load reads tags. *)
     let fast = M.tracking && t.fast in
@@ -1157,100 +1121,25 @@ module Make (M : MODE) = struct
     done;
     !ok
 
-  (* Execute instructions from a cached block. Per-instruction semantics
-     mirror {!step} exactly (ordering of trace / instret / pc update /
-     execute); the loop additionally stops at the instruction budget, the
-     sync quantum, a pending interrupt, a taken branch or trap, or when an
-     invalidation touched cached code (self-modifying stores take effect
-     from the very next instruction, as in single-step mode). *)
-  let exec_block t b =
-    let epoch0 = t.flush_epoch in
-    let n = Array.length b.b_insns in
-    if
-      t.fast_enabled && b.b_fast
-      && regs_all_pub t
-      && Dift.Monitor.fast_path_ok t.monitor
-    then begin
-      t.fast <- true;
-      (* LUI/AUIPC/JAL/JALR read the fetch tag through [t.insn_tag]. *)
-      t.insn_tag <- t.pub
-    end;
-    let i = ref 0 in
-    let continue = ref true in
-    (try
-       while !continue && !i < n do
-         if
-           !i > 0
-           && (t.instret >= t.max_insns
-              || t.exit_reason <> Running
-              || t.local_cycles >= t.quantum
-              || t.flush_epoch <> epoch0
-              || interrupt_pending t)
-         then continue := false
-         else begin
-           let pc0 = t.pc in
-           t.cur_pc <- pc0;
-           let insn = Array.unsafe_get b.b_insns !i in
-           if M.tracking then begin
-             if t.fast then t.n_fast <- t.n_fast + 1
-             else begin
-               t.insn_word <- Array.unsafe_get b.b_words !i;
-               t.insn_tag <- Array.unsafe_get b.b_tags !i;
-               check_fetch t t.insn_tag
-             end
-           end;
-           (match t.trace with Some f -> f pc0 insn | None -> ());
-           t.instret <- t.instret + 1;
-           t.local_cycles <- t.local_cycles + 1;
-           t.pc <- mask32 (pc0 + 4);
-           (try execute t insn with Exit -> ());
-           incr i;
-           if t.pc <> mask32 (pc0 + 4) then continue := false
-         end
-       done
-     with e ->
-       t.fast <- false;
-       raise e);
-    t.fast <- false
+  (* --- Block compiler ------------------------------------------------- *)
 
-  (* One scheduling round: take a pending interrupt, or run (up to) one
-     basic block from the cache, building it on a miss; pcs outside the
-     cacheable region and system instructions fall back to {!step}. *)
-  let dispatch t =
-    if interrupt_pending t then take_interrupt t
-    else begin
-      let pc0 = t.pc in
-      let idx = (pc0 - t.blk_base) lsr 2 in
-      if pc0 land 3 <> 0 || idx >= Table.length t.blocks then step t
-      else
-        let b =
-          match Table.get t.blocks idx with
-          | Some b -> b
-          | None ->
-              let b = build_block t pc0 in
-              Table.set t.blocks idx (Some b);
-              b
-        in
-        if Array.length b.b_insns = 0 then step t else exec_block t b
-    end
-
-  (* --- Threaded-code block compiler ---------------------------------- *)
-
-  (* The threaded engine compiles each decoded block into a chain of
-     closures, one per instruction, with register indices, immediates and
-     fetch tags pre-resolved at compile time. Closures are chained
-     tail-first (instruction [i] captures instruction [i+1]'s closure), so
-     running a block is a single indirect call. Every chain stop condition
-     of {!exec_block} is compiled into the guards below; the retirement
-     protocol (cur_pc / fetch bookkeeping / trace / instret / pc update)
-     is replicated exactly so both engines produce identical architectural
-     state, tags, counters, hook streams and snapshots — pinned by
-     test_threaded and the difftest engine-diff leg. *)
+  (* The Compiled engine turns each decoded block into a chain of
+     closures (threaded code), one per instruction, with register indices,
+     immediates and fetch tags pre-resolved at compile time. Closures are
+     chained tail-first (instruction [i] captures instruction [i+1]'s
+     closure), so running a block is a single indirect call. A chain stops
+     at the instruction budget, the sync quantum, a pending interrupt, a
+     taken branch or trap, or when an invalidation touched cached code
+     (self-modifying stores take effect from the very next instruction,
+     as under {!step}). The retirement protocol of {!step} (cur_pc / fetch
+     bookkeeping / trace / instret / pc update) is replicated exactly so
+     both engines produce identical architectural state, tags, counters,
+     hook streams and snapshots — pinned by test_engines and the difftest
+     engine-diff leg. *)
 
   (* Stop conditions checked before every chained instruction except the
-     first (mirrors exec_block's [!i > 0] guard; the dispatcher itself
-     re-checks them between blocks, and never stop-checking the head keeps
-     quantum = 0 configurations live). *)
+     first (the dispatcher itself re-checks them between blocks, and never
+     stop-checking the head keeps quantum = 0 configurations live). *)
   let chain_stalled t =
     t.instret >= t.max_insns
     || t.exit_reason <> Running
@@ -1263,7 +1152,7 @@ module Make (M : MODE) = struct
   (* Full-semantics variant: the retirement shell is compiled per
      instruction (pc, word and fetch tag are constants); the body shares
      {!execute}, whose operands were pre-resolved by decoding, so tag
-     propagation and clearance checks are identical to the interpreter by
+     propagation and clearance checks are identical to {!step} by
      construction. Runs only with [t.fast] false (block entry either took
      the fast chain or this one).
 
@@ -1319,7 +1208,7 @@ module Make (M : MODE) = struct
      JALR case inside the retirement shell (check before target, target
      before link write — rd may alias rs1), then jumps straight to the
      predicted target's chain when the prediction holds and no stop
-     condition is pending. Only built by the superblock engine. *)
+     condition is pending. *)
   let compile_full_jalr t ~guarded ~pc0 ~word ~itag ~insn ~rd ~rs1 ~off ~next =
     let next_pc = mask32 (pc0 + 4) in
     let traced = t.trace in
@@ -1394,7 +1283,7 @@ module Make (M : MODE) = struct
       end
     in
     (* Taken branches / jumps landing exactly on [next_pc] continue the
-       chain, exactly like exec_block's pc test; any other landing site
+       chain, exactly like a fall-through; any other landing site
        exits through [exit_k] (terminator, or superblock seam). The
        taken-path continuation is resolved at compile time. *)
     let cond_branch cond tgt =
@@ -1505,61 +1394,43 @@ module Make (M : MODE) = struct
             taken_k ()
           end
     | JALR (rd, rs1, off) ->
-        if not t.superblocks then
-          (fun () ->
-            if (not guarded) || not (chain_stalled t) then begin
-              t.cur_pc <- pc0;
-              t.n_fast <- t.n_fast + 1;
-              (match traced with Some f -> f pc0 insn | None -> ());
-              t.instret <- t.instret + 1;
-              t.local_cycles <- t.local_cycles + 1;
-              (* Target before link write: rd may alias rs1. *)
-              let tgt = mask32 (regs.(rs1) + off) land lnot 1 in
-              if rd <> 0 then regs.(rd) <- next_pc;
-              t.pc <- tgt;
-              if tgt = next_pc then next ()
-            end)
-        else begin
-          (* Superblock engine: inline-cache the jalr target. A hit jumps
-             straight into the predicted chain's fast entry; a target
-             without a fast variant gets a demoting trampoline so the
-             prediction still skips the dispatcher. The tag invariant
-             carries over the jump: [t.fast] true here means every
-             register tag is bottom, which is exactly the fast-entry
-             precondition the dispatcher would re-derive. *)
-          let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
-          let entry_of cb =
-            match cb.cb_fast with
-            | Some f -> f
-            | None ->
-                fun () ->
-                  t.fast <- false;
-                  cb.cb_full ()
-          in
-          fun () ->
-            if (not guarded) || not (chain_stalled t) then begin
-              t.cur_pc <- pc0;
-              t.n_fast <- t.n_fast + 1;
-              (match traced with Some f -> f pc0 insn | None -> ());
-              t.instret <- t.instret + 1;
-              t.local_cycles <- t.local_cycles + 1;
-              (* Target before link write: rd may alias rs1. *)
-              let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
-              if rd <> 0 then Array.unsafe_set regs rd next_pc;
-              t.pc <- tgt;
-              if tgt = next_pc then next ()
-              else if
-                ic.ic_pc = tgt
-                && ic.ic_epoch = t.flush_epoch
-                && (not (chain_stalled t))
-                && ((not M.tracking) || Dift.Monitor.fast_path_ok t.monitor)
-              then begin
-                t.n_ic_hits <- t.n_ic_hits + 1;
-                ic.ic_entry ()
-              end
-              else ic_miss t ic ~tgt ~entry_of
+        (* Inline-cache the jalr target. A hit jumps straight into the
+           predicted chain's fast entry; a target without a fast variant
+           gets a demoting trampoline so the prediction still skips the
+           dispatcher. The tag invariant carries over the jump: [t.fast]
+           true here means every register tag is bottom, which is exactly
+           the fast-entry precondition the dispatcher would re-derive. *)
+        let ic = { ic_pc = -1; ic_epoch = -1; ic_entry = chain_terminator } in
+        let entry_of cb =
+          match cb.cb_fast with
+          | Some f -> f
+          | None ->
+              fun () ->
+                t.fast <- false;
+                cb.cb_full ()
+        in
+        fun () ->
+          if (not guarded) || not (chain_stalled t) then begin
+            t.cur_pc <- pc0;
+            t.n_fast <- t.n_fast + 1;
+            (match traced with Some f -> f pc0 insn | None -> ());
+            t.instret <- t.instret + 1;
+            t.local_cycles <- t.local_cycles + 1;
+            (* Target before link write: rd may alias rs1. *)
+            let tgt = mask32 (Array.unsafe_get regs rs1 + off) land lnot 1 in
+            if rd <> 0 then Array.unsafe_set regs rd next_pc;
+            t.pc <- tgt;
+            if tgt = next_pc then next ()
+            else if
+              ic.ic_pc = tgt
+              && ic.ic_epoch = t.flush_epoch
+              && not (chain_stalled t)
+            then begin
+              t.n_ic_hits <- t.n_ic_hits + 1;
+              ic.ic_entry ()
             end
-        end
+            else ic_miss t ic ~tgt ~entry_of
+          end
     | BEQ (a, b, off) ->
         cond_branch (fun () -> regs.(a) = regs.(b)) (mask32 (pc0 + off))
     | BNE (a, b, off) ->
@@ -1733,11 +1604,11 @@ module Make (M : MODE) = struct
          dispatcher round, the pc/index lookup and, on the fast side, the
          31-register tag rescan — exactly when execution really landed on
          the successor and no stop condition is pending; anything else
-         returns to the dispatcher as before. The fast seam re-checks only
-         the monitor gate: [t.fast] being true is itself the proof that
-         every register tag is still bottom (a tainted load would have
-         dropped it before the seam). Entries are threaded through refs so
-         a block chained to itself loops inside its own new chain. *)
+         returns to the dispatcher as before. [t.fast] being true at the
+         fast seam is itself the proof that every register tag is still
+         bottom (a tainted load would have dropped it before the seam).
+         Entries are threaded through refs so a block chained to itself
+         loops inside its own new chain. *)
       let full_tgt = ref chain_terminator in
       let fast_tgt = ref chain_terminator in
       let succ_pc = match link with Some s -> s.cb_pc | None -> -1 in
@@ -1751,11 +1622,7 @@ module Make (M : MODE) = struct
                   !full_tgt ()
                 end),
               fun () ->
-                if
-                  t.pc = succ_pc
-                  && (not (chain_stalled t))
-                  && ((not M.tracking) || Dift.Monitor.fast_path_ok t.monitor)
-                then begin
+                if t.pc = succ_pc && not (chain_stalled t) then begin
                   t.n_chain <- t.n_chain + 1;
                   !fast_tgt ()
                 end )
@@ -1767,7 +1634,7 @@ module Make (M : MODE) = struct
         let itag = if M.tracking then b.b_tags.(i) else t.pub in
         full.(i) <-
           (match b.b_insns.(i) with
-          | Insn.JALR (rd, rs1, off) when t.superblocks ->
+          | Insn.JALR (rd, rs1, off) ->
               compile_full_jalr t ~guarded:(i > 0)
                 ~pc0:(b.b_pc + (4 * i))
                 ~word:b.b_words.(i) ~itag ~insn:b.b_insns.(i) ~rd ~rs1 ~off
@@ -1780,7 +1647,7 @@ module Make (M : MODE) = struct
                 ~exit_k:full_seam)
       done;
       let cb_fast =
-        if t.fast_spec && b.b_fast then begin
+        if t.fast_ok && b.b_fast then begin
           let fast = Array.make (n + 1) fast_seam in
           for i = n - 1 downto 0 do
             fast.(i) <-
@@ -1855,11 +1722,11 @@ module Make (M : MODE) = struct
     t.n_superblocks <- t.n_superblocks + 1;
     sb
 
-  (* Threaded-engine scheduling round: same structure as {!dispatch}, but
-     a cache hit invokes the compiled chain instead of interpreting the
-     block. The fast/full decision is made once per block entry, exactly
-     like exec_block's fast-path gate. *)
-  let dispatch_threaded t =
+  (* One scheduling round of the Compiled engine: take a pending interrupt,
+     or run one compiled chain from the cache, building it on a miss; pcs
+     outside the cacheable region and system instructions fall back to
+     {!step}. The fast/full decision is made once per chain entry. *)
+  let dispatch t =
     if interrupt_pending t then begin
       t.prev_cb <- no_cb;
       take_interrupt t
@@ -1885,7 +1752,7 @@ module Make (M : MODE) = struct
           step t
         end
         else begin
-          (* Exit-edge profiling (superblock engine): each dispatcher
+          (* Exit-edge profiling: each dispatcher
              entry is an edge from the chain that ran last round to
              [pc0]. When the same edge repeats superblock_threshold
              times, the predecessor is recompiled chained into this
@@ -1895,7 +1762,7 @@ module Make (M : MODE) = struct
              in the new chain for the current round as well. *)
           let cb =
             let p = t.prev_cb in
-            if (not t.superblocks) || p.cb_linked then cb
+            if p.cb_linked then cb
             else if p.cb_edge_pc = pc0 then begin
               p.cb_edge_n <- p.cb_edge_n + 1;
               if
@@ -1921,8 +1788,7 @@ module Make (M : MODE) = struct
           t.chain_epoch <- t.flush_epoch;
           match cb.cb_fast with
           | Some f
-            when (not M.tracking)
-                 || (regs_all_pub t && Dift.Monitor.fast_path_ok t.monitor) ->
+            when (not M.tracking) || regs_all_pub t ->
               t.fast <- true;
               (* LUI/AUIPC/JAL/JALR read the fetch tag through insn_tag. *)
               t.insn_tag <- t.pub;
@@ -1966,13 +1832,7 @@ module Make (M : MODE) = struct
 
   let spawn_thread ?(stop_kernel_on_halt = true) t =
     (* One scheduling round of the selected execution engine. *)
-    let round =
-      if not t.use_blocks then step
-      else
-        match t.engine with
-        | Interp -> dispatch
-        | Threaded | Threaded_superblock -> dispatch_threaded
-    in
+    let round = if t.compiled then dispatch else step in
     Sysc.Kernel.spawn t.kernel ~name:"cpu" (fun () ->
         if t.syncing then begin
           (* Restored from a snapshot taken at a sync boundary: the wakeup

@@ -18,33 +18,33 @@
     - stores into policy-protected regions check the data tag against the
       region's required class.
 
-    Performance machinery (both flavours, see [docs/perf.md]):
-    - a decoded basic-block cache over the DMI (RAM) region: straight-line
-      runs terminated by a control transfer are fetched and decoded once
-      and dispatched from pre-decoded arrays; stores into cached code
-      (self-modifying code via the CPU, DMA via the memory model) invalidate
-      overlapping blocks through {!flush_code};
-    - three pluggable execution {!engine}s over that cache, selected at
-      [create] time: [Interp] runs cached blocks through the
-      per-instruction execute loop; [Threaded] compiles each block into a
-      chain of closures — one per instruction, operands pre-resolved,
-      chained tail-first — with an untainted specialization per block
-      whose tag plumbing is compiled out entirely;
-      [Threaded_superblock] (the default) additionally recompiles hot
-      block pairs into superblocks chained across their exit edge and
-      inline-caches [jalr] targets, so hot control transfers skip the
-      dispatcher (and on the fast side the per-entry register-tag rescan)
-      entirely. All engines retire identical architectural state, tags,
-      counters, hook streams and snapshots (pinned by [test_threaded] /
-      [test_superblock] and the difftest engine-differential legs);
-    - an untainted fast path (VP+ only): while every live register tag and
-      every fetched word's tag is the lattice bottom and the bottom tag
-      passes all static clearances, tag propagation and monitor checks are
-      skipped (interpreter) or compiled out (threaded engine); the first
-      non-bottom tag re-enables full tracking mid-block. Violation
-      behaviour and final tag state are unchanged; only
-      {!Dift.Monitor.check_count} undercounts (harnesses that need exact
-      check accounting veto it via {!Dift.Monitor.set_fast_path_ok}). *)
+    Two execution {!engine}s, selected at [create] time (both flavours,
+    see [docs/perf.md]):
+    - [Step] is the reference interpreter: every instruction is fetched,
+      decoded and executed through {!S.step}, with full DIFT;
+    - [Compiled] (the default) fetches and decodes straight-line runs over
+      the DMI (RAM) region once and compiles each into a chain of closures
+      with operands pre-resolved. Hot block pairs are recompiled into
+      superblocks chained across their exit edge, and [jalr] targets are
+      inline-cached, so hot control transfers skip the dispatcher. Stores
+      into compiled code (self-modifying code via the CPU, DMA via the
+      memory model) invalidate overlapping chains through {!S.flush_code}.
+      Each block also gets a value-only variant, used while every live
+      register tag and every fetched word's tag is the lattice bottom and
+      the bottom tag passes all static clearances: tag propagation and
+      monitor checks are compiled out, and the first non-bottom tag
+      re-enables full tracking mid-block. Without a DMI region [Compiled]
+      degrades to [Step].
+
+    Both engines retire identical architectural state, tags, counters,
+    hook streams, violations and snapshots (pinned by [test_engines] and
+    the difftest engine-diff leg), with two exceptions.
+    {!Dift.Monitor.check_count} undercounts under [Compiled], whose
+    value-only chains skip checks that pass by construction. And value-only
+    chains do not refresh the in-flight instruction word that {!S.save}
+    records (it is dead between instructions), so a snapshot of a run
+    stopped inside such a chain — at an instruction budget, say — differs
+    from [Step]'s in that one field. *)
 
 exception Fatal_trap of { cause : int; pc : int; tval : int }
 (** A synchronous trap occurred while [mtvec] is 0 (no handler installed),
@@ -67,26 +67,16 @@ type trap_event =
           privilege level returned to. *)
 
 type engine =
-  | Interp
-      (** Dispatch cached blocks through the per-instruction execute
-          loop. *)
-  | Threaded
-      (** Compile each cached block into a threaded-code closure chain
-          with an untainted specialization. *)
-  | Threaded_superblock
-      (** [Threaded], plus superblock chaining of hot block pairs and
-          inline caches on [jalr] targets (default). Chains participate
-          in SMC/DMA flush-epoch invalidation, [set_trace] flushing and
-          cross-engine snapshot restore exactly like single-block
-          chains. *)
+  | Step  (** Single-step every instruction: the reference interpreter. *)
+  | Compiled
+      (** Compiled closure chains with superblocks, [jalr] inline caches
+          and a value-only variant for untainted state (default). *)
 
 val engine_name : engine -> string
-(** ["interp"] / ["threaded"] / ["superblock"] — stable names for CLIs
-    and bench rows. *)
+(** ["step"] / ["compiled"] — stable names for CLIs and bench rows. *)
 
 val engine_of_string : string -> engine option
-(** Inverse of {!engine_name} (also accepts ["interpreter"] and
-    ["threaded-superblock"]/["threaded_superblock"]). *)
+(** Inverse of {!engine_name}. *)
 
 module type MODE = sig
   val tracking : bool
@@ -102,8 +92,6 @@ module type S = sig
     monitor:Dift.Monitor.t ->
     ?cycle_time:Sysc.Time.t ->
     ?quantum:int ->
-    ?block_cache:bool ->
-    ?fast_path:bool ->
     ?engine:engine ->
     ?strict_align:bool ->
     pc:int ->
@@ -112,12 +100,8 @@ module type S = sig
   (** [cycle_time] is the modelled cost of one instruction (default 10 ns);
       [quantum] the number of local cycles the core runs ahead before
       synchronising with the kernel (default 1000, loosely-timed style).
-      [block_cache] (default true) enables the decoded basic-block cache
-      (requires a DMI region); [fast_path] (default true) enables the
-      untainted fast path on top of it (tracking flavour only).
-      [engine] (default [Threaded_superblock]) selects how cached blocks
-      are executed; with [block_cache] off (or no DMI region) every
-      engine degrades to single-stepping and the choice is irrelevant.
+      [engine] (default [Compiled]) selects the execution engine; without
+      a DMI region [Compiled] degrades to [Step].
       [strict_align] (default false) traps naturally misaligned data
       accesses with causes 4/6 instead of letting the bus split them. *)
 
@@ -186,16 +170,16 @@ module type S = sig
       Contract (pinned by the [hook x block cache] tier-1 test): the hook
       observes {e every} retired instruction {e exactly once}, in
       retirement order, with the fetch pc — regardless of whether the
-      instruction was single-stepped, dispatched from a decoded
-      basic-block cache entry, or retired on the untainted fast path.
+      instruction was single-stepped, retired from a compiled chain, or
+      retired on a value-only chain.
       [instret] equals the number of hook invocations at any observation
       point. The hook runs after fetch + decode and before execution, so
       register/memory state visible to it is the pre-execution state; an
       instruction whose {e fetch} faults (bus error, DIFT exec-fetch
       violation) is not reported, and interrupt entry reports no event of
       its own (the first handler instruction is reported normally).
-      Installing a hook does not flush cached blocks and does not disable
-      the fast path. *)
+      Compiled chains capture the hook, so installing one drops them; it
+      does not disable the value-only variant. *)
 
   val set_trap_hook : t -> (trap_event -> unit) option -> unit
   (** Install (or remove) an observer of trap entries and [mret]s, fired
@@ -214,14 +198,14 @@ module type S = sig
       there) or on the plain VP (no tracking). One load-and-branch per LUB
       when unset; used by the provenance tracker. *)
 
-  (** {1 Block cache and fast path} *)
+  (** {1 Compiled-engine caches and counters} *)
 
   val flush_code : t -> addr:int -> len:int -> unit
   (** Invalidate cached basic blocks overlapping
       [addr .. addr + len - 1]. Wired automatically to {!Bus_if}'s DMI
       store hook at [create] time; external writers that bypass the bus
       (loaders, DMA models not routed through {!Vp}'s memory) must call it
-      themselves. No-op when the block cache is disabled. *)
+      themselves. No-op under [Step]. *)
 
   val blocks_built : t -> int
   (** Number of basic blocks fetch-decoded so far (rebuilds after
@@ -230,7 +214,7 @@ module type S = sig
 
   val superblocks_built : t -> int
   (** Number of hot block pairs recompiled into a chained superblock
-      ([Threaded_superblock] engine only; 0 otherwise). *)
+      (0 under [Step]). *)
 
   val chain_hits : t -> int
   (** Number of times execution crossed a superblock seam directly into
@@ -246,8 +230,8 @@ module type S = sig
       invalidations re-validating, and polymorphic sites being demoted. *)
 
   val fast_retired : t -> int
-  (** Number of instructions retired on the untainted fast path (0 when
-      [fast_path] is off or the flavour is non-tracking). *)
+  (** Number of instructions retired on value-only chains (0 under
+      [Step]). *)
 
   (** {1 Checkpoint / restore}
 
@@ -279,8 +263,8 @@ module type S = sig
 
   val load : t -> Snapshot.Codec.reader -> unit
   (** Restore state written by [save] into a freshly created core, before
-      {!spawn_thread}. The target core may use a different {!engine} or
-      [block_cache] setting than the one that saved: the snapshot holds
+      {!spawn_thread}. The target core may use a different {!engine} than
+      the one that saved: the snapshot holds
       only architectural state, and both engines produce identical
       snapshots at identical instruction counts (pinned by the
       cross-engine case in [test_snapshot]). *)

@@ -107,8 +107,8 @@ module Wrap_vp = Wrap (Rv32.Core.Vp)
 module Wrap_dift = Wrap (Rv32.Core.Vp_dift)
 
 let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
-    ?(dmi = true) ?(quantum = 1000) ?(block_cache = true) ?(fast_path = true)
-    ?(engine = Rv32.Core.Threaded_superblock) ?(strict_align = false)
+    ?(dmi = true) ?(quantum = 1000) ?(engine = Rv32.Core.Compiled)
+    ?(strict_align = false)
     ?sensor_period
     ?aes_out_tag
     ?aes_in_clearance ?wdt_clearance ?tracer () =
@@ -157,13 +157,13 @@ let create ~policy ~monitor ?(tracking = true) ?(ram_size = 1 lsl 20)
     if tracking then
       let core =
         Rv32.Core.Vp_dift.create ~kernel ~bus ~policy ~monitor ~quantum
-          ~block_cache ~fast_path ~engine ~strict_align ~pc:ram_base ()
+          ~engine ~strict_align ~pc:ram_base ()
       in
       (Wrap_dift.make core, Rv32.Core.Vp_dift.reg_tags core)
     else
       let core =
         Rv32.Core.Vp.create ~kernel ~bus ~policy ~monitor ~quantum
-          ~block_cache ~fast_path ~engine ~strict_align ~pc:ram_base ()
+          ~engine ~strict_align ~pc:ram_base ()
       in
       (Wrap_vp.make core, Rv32.Core.Vp.reg_tags core)
   in

@@ -87,8 +87,6 @@ let good_doc ?(rows = [ good_row () ]) () =
     [
       ("bench", J.Str "table2");
       ("scale", J.Num 1.);
-      ("block_cache", J.Bool true);
-      ("fast_path", J.Bool true);
       ("rows", J.List rows);
     ]
 
@@ -129,6 +127,13 @@ let test_validate () =
     (good_doc ~rows:[ with_field "trace" (J.Bool true) (good_row ()) ] ());
   expect_invalid "non-bool trace field"
     (good_doc ~rows:[ with_field "trace" (J.Str "yes") (good_row ()) ] ());
+  (* The optional engine name must be one that ships. *)
+  expect_valid
+    (good_doc ~rows:[ with_field "engine" (J.Str "step") (good_row ()) ] ());
+  expect_invalid "unknown engine"
+    (good_doc
+       ~rows:[ with_field "engine" (J.Str "superblock") (good_row ()) ]
+       ());
   (* The parallel-campaign fields: all four together or none at all,
      each range-checked. *)
   let parallel_fields =
@@ -291,7 +296,7 @@ let test_parallel_row () =
   check_bool "seconds derived from wall_ns" true
     (Float.abs (m.D.m_seconds -. 2.) < 1e-9);
   let doc =
-    D.doc ~bench:"parallel" ~scale:1. ~block_cache:true ~fast_path:true [ m ]
+    D.doc ~bench:"parallel" ~scale:1. [ m ]
   in
   expect_valid doc;
   (* A classic row (all four None) renders without the parallel keys. *)
@@ -320,7 +325,7 @@ let test_graph_row () =
     (Float.abs (m.D.m_seconds -. 24.5e-6) < 1e-12);
   check_bool "no parallel fields" true (m.D.m_jobs = None);
   let doc =
-    D.doc ~bench:"graph" ~scale:1. ~block_cache:true ~fast_path:true [ m ]
+    D.doc ~bench:"graph" ~scale:1. [ m ]
   in
   expect_valid doc;
   (match D.row m with
@@ -363,7 +368,7 @@ let test_real_report () =
     && vpp.D.m_ic_hits <> None
     && vpp.D.m_ic_misses <> None);
   let doc =
-    D.doc ~bench:"table2" ~scale:0.01 ~block_cache:true ~fast_path:true rows
+    D.doc ~bench:"table2" ~scale:0.01 rows
   in
   expect_valid doc;
   let file = Filename.temp_file "bench" ".json" in
@@ -429,7 +434,7 @@ let test_trace_row () =
     vpt.D.m_instructions;
   check_bool "vp+trace overhead positive" true (vpt.D.m_overhead > 0.);
   let doc =
-    D.doc ~bench:"table2" ~scale:0.01 ~block_cache:true ~fast_path:true rows
+    D.doc ~bench:"table2" ~scale:0.01 rows
   in
   expect_valid doc;
   (* The rendered row exposes the marker to CI trend tooling. *)
@@ -458,16 +463,53 @@ let test_dispatch_counters () =
       check_bool (ctx "ic hits") true (some_pos m.D.m_ic_hits);
       check_bool (ctx "ic misses") true (some_pos m.D.m_ic_misses))
     rows;
-  (* Under the plain threaded engine the same workload reports the group
-     as all-zero — present (measured) but empty. *)
-  let rows = D.measure ~engine:Rv32.Core.Threaded dispatch in
+  (* Under the step engine the same workload reports the group as
+     all-zero — present (measured) but empty. *)
+  let rows = D.measure ~engine:Rv32.Core.Step dispatch in
   List.iter
     (fun m ->
-      check_bool "threaded rows carry zero superblocks" true
+      check_bool "step rows carry zero superblocks" true
         (m.D.m_superblocks = Some 0);
-      check_bool "threaded rows carry zero ic traffic" true
+      check_bool "step rows carry zero ic traffic" true
         (m.D.m_ic_hits = Some 0 && m.D.m_ic_misses = Some 0))
     rows
+
+(* The reports committed at the repository root (a dune dependency of
+   this suite) must pass the schema check consumers run, and every row
+   must name an engine that ships. *)
+let test_committed_reports () =
+  let rec root dir depth =
+    if Sys.file_exists (Filename.concat dir "BENCH_table2.json") then dir
+    else if depth = 0 then Alcotest.fail "cannot locate BENCH_table2.json"
+    else root (Filename.concat dir "..") (depth - 1)
+  in
+  let dir = root "." 8 in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"BENCH_" f
+           && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  check_bool "table2 and parallel reports present" true
+    (List.mem "BENCH_table2.json" files && List.mem "BENCH_parallel.json" files);
+  List.iter
+    (fun f ->
+      let doc =
+        match J.of_string (Snapshot.Io.read_file (Filename.concat dir f)) with
+        | Ok doc -> doc
+        | Error e -> Alcotest.failf "%s does not parse: %s" f e
+      in
+      (match D.validate doc with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s fails validation: %s" f e);
+      List.iter
+        (fun r ->
+          match Option.bind (J.member "engine" r) J.to_str with
+          | Some e when Rv32.Core.engine_of_string e <> None -> ()
+          | _ -> Alcotest.failf "%s: row without a known engine" f)
+        (Option.value ~default:[] (Option.bind (J.member "rows" doc) J.to_list)))
+    files
 
 let () =
   Alcotest.run "bench_json"
@@ -488,5 +530,7 @@ let () =
           Alcotest.test_case "trace row guardrail" `Slow test_trace_row;
           Alcotest.test_case "dispatch workload counters" `Slow
             test_dispatch_counters;
+          Alcotest.test_case "committed reports validate" `Quick
+            test_committed_reports;
         ] );
     ]

@@ -43,11 +43,12 @@ let test_smoke_coverage () =
   check_bool "branches taken" true (taken > 0);
   check_bool "branches not taken" true (not_taken > 0)
 
-(* The block-cache transparency check of the harness: every program is
-   additionally replayed with the cache and fast path off, and the two runs
-   must agree on all architectural and taint state. Fixed seed, fewer
-   programs than the smoke run (each costs four extra simulations). *)
-let test_cache_diff_clean () =
+(* The engine differential of the harness: every program is additionally
+   replayed single-stepped ([Step]: no block cache, no fast path), and
+   the runs must agree with the compiled base legs on all architectural
+   and taint state. Fixed seed, fewer programs than the smoke run (each
+   costs two extra simulations). *)
+let test_engine_diff_clean () =
   let cfg =
     {
       H.default with
@@ -55,12 +56,12 @@ let test_cache_diff_clean () =
       programs = 40;
       size = 30;
       shrink = false;
-      cache_diff = true;
+      engine_diff = true;
     }
   in
   let r = H.run ~config:cfg () in
   check_bool "invariants hold" true (H.healthy r);
-  check_int "no cache-vs-nocache mismatches" 0 r.H.cache_mismatches;
+  check_int "no compiled-vs-step mismatches" 0 r.H.engine_mismatches;
   check_bool "programs completed" true (r.H.completed > 30)
 
 (* The generator emits real control flow and memory traffic, not just
@@ -208,7 +209,7 @@ let () =
           Alcotest.test_case "fixed-seed run healthy" `Quick test_smoke_healthy;
           Alcotest.test_case "full RV32IM coverage" `Quick test_smoke_coverage;
           Alcotest.test_case "cache-vs-nocache diff clean" `Quick
-            test_cache_diff_clean;
+            test_engine_diff_clean;
         ] );
       ( "generator",
         [

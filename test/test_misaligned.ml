@@ -71,13 +71,14 @@ let policy_for img =
       ]
     ~exec_fetch:(t "LC,HI") ()
 
-let run ~fast_path () =
+(* [Compiled] runs the fast path; [Step] single-steps with full DIFT. *)
+let run ~engine () =
   let p = A.create () in
   program p;
   let img = A.assemble p in
   let policy = policy_for img in
   let monitor = Dift.Monitor.create lat in
-  let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ~fast_path () in
+  let soc = Vp.Soc.create ~policy ~monitor ~tracking:true ~engine () in
   Vp.Soc.load_image soc img;
   expect_exit (Vp.Soc.run_for_instructions soc 100_000) 0;
   soc
@@ -98,12 +99,12 @@ let check_tags soc =
   check_int "cross-boundary sh taints high byte" sec (tag R.s9);
   check_int "byte after the stored halfword stays public" pub (tag R.s10)
 
-let test_with_fast_path () =
-  let soc = run ~fast_path:true () in
+let test_compiled () =
+  let soc = run ~engine:Rv32.Core.Compiled () in
   check_tags soc
 
-let test_without_fast_path () =
-  let soc = run ~fast_path:false () in
+let test_step () =
+  let soc = run ~engine:Rv32.Core.Step () in
   check_int "fast path actually off" 0
     (soc.Vp.Soc.cpu.Vp.Soc.cpu_fast_retired ());
   check_tags soc
@@ -111,8 +112,8 @@ let test_without_fast_path () =
 (* The two flavours must agree on every register tag and every memory tag
    byte (the fast path may only skip work, never change results). *)
 let test_flavours_agree () =
-  let a = run ~fast_path:true () in
-  let b = run ~fast_path:false () in
+  let a = run ~engine:Rv32.Core.Compiled () in
+  let b = run ~engine:Rv32.Core.Step () in
   for r = 0 to 31 do
     check_int
       (Printf.sprintf "reg %d tag" r)
@@ -134,9 +135,9 @@ let () =
       ( "taint",
         [
           Alcotest.test_case "cross-boundary loads/stores (fast path on)"
-            `Quick test_with_fast_path;
+            `Quick test_compiled;
           Alcotest.test_case "cross-boundary loads/stores (fast path off)"
-            `Quick test_without_fast_path;
+            `Quick test_step;
           Alcotest.test_case "fast path changes nothing" `Quick
             test_flavours_agree;
         ] );

@@ -218,7 +218,7 @@ let immo_image = lazy (Immo.image ~variant:(Immo.Normal { fixed_dump = true }) (
 
 (* Build an immobilizer SoC; [collect] accumulates the complete trace
    event stream as rendered JSONL lines. *)
-let immo_soc ?engine ?block_cache () =
+let immo_soc ?engine () =
   let img = Lazy.force immo_image in
   let policy = Immo.base_policy img in
   let monitor = Dift.Monitor.create policy.Dift.Policy.lattice in
@@ -233,7 +233,7 @@ let immo_soc ?engine ?block_cache () =
          Buffer.add_char buf '\n'));
   let soc =
     Vp.Soc.create ~policy ~monitor ~tracking:true ~aes_out_tag
-      ~aes_in_clearance ~tracer ?engine ?block_cache ()
+      ~aes_in_clearance ~tracer ?engine ()
   in
   Vp.Soc.load_image soc img;
   (soc, monitor, buf)
@@ -371,44 +371,44 @@ let test_restore_into_used_soc () =
 
 (* --- cross-engine restore ----------------------------------------------- *)
 
-(* A snapshot holds only architectural state: one saved under the
-   interpreter engine must restore into a threaded-engine SoC (here with
-   the block cache flipped off on the saving side, too) and continue to
-   exactly the state an uninterrupted run reaches — same final snapshot,
-   same UART output, and a trace event stream whose post-checkpoint
-   suffix is byte-identical. *)
-let test_restore_across_engines () =
-  (* Reference: uninterrupted run under the default (threaded) engine. *)
-  let soc0, _, buf0 = immo_soc () in
+(* A snapshot holds only architectural state: one saved under [save]
+   must restore into a SoC on the other engine and continue to exactly
+   the state an uninterrupted run on the restoring engine reaches — same
+   final snapshot, same UART output, and a trace event stream whose
+   post-checkpoint suffix is byte-identical. *)
+let restore_across ~save ~restore =
+  let name = Rv32.Core.engine_name in
+  (* Reference: uninterrupted run under the restoring engine. *)
+  let soc0, _, buf0 = immo_soc ~engine:restore () in
   let _e0 = Immo.Engine.attach soc0 ~challenge:"CHLLNGSN" in
   Vp.Uart.push_rx soc0.Vp.Soc.uart "D";
   Vp.Soc.start soc0;
   finish soc0;
   let final0 = Vp.Soc.save soc0 in
   let total = soc0.Vp.Soc.cpu.Vp.Soc.cpu_instret () in
-  (* Save mid-run under the interpreter with the block cache off. *)
-  let soc1, _, buf1 = immo_soc ~engine:Rv32.Core.Interp ~block_cache:false () in
+  (* Save mid-run under the saving engine. *)
+  let soc1, _, buf1 = immo_soc ~engine:save () in
   let _e1 = Immo.Engine.attach soc1 ~challenge:"CHLLNGSN" in
   Vp.Uart.push_rx soc1.Vp.Soc.uart "D";
   Vp.Soc.pause_at soc1 (total / 2);
   soc1.Vp.Soc.cpu.Vp.Soc.cpu_set_max 2_000_000;
   Vp.Soc.start soc1;
   Vp.Soc.run soc1;
-  check_bool "paused mid-run under interp" true (Vp.Soc.paused soc1);
+  check_bool ("paused mid-run under " ^ name save) true (Vp.Soc.paused soc1);
   let mid = Vp.Soc.save soc1 in
   let mid_trace_len = Buffer.length buf1 in
-  (* The interpreter's pre-checkpoint trace must itself be a prefix of
-     the threaded reference stream. *)
-  check_bool "interp trace is a reference prefix" true
+  (* The saving engine's pre-checkpoint trace must itself be a prefix of
+     the reference stream. *)
+  check_bool (name save ^ " trace is a reference prefix") true
     (mid_trace_len <= Buffer.length buf0
     && String.equal (Buffer.contents buf1)
          (String.sub (Buffer.contents buf0) 0 mid_trace_len));
-  (* Restore into a threaded-engine SoC and finish. *)
-  let soc2, _, buf2 = immo_soc ~engine:Rv32.Core.Threaded () in
+  (* Restore into a SoC on the other engine and finish. *)
+  let soc2, _, buf2 = immo_soc ~engine:restore () in
   Vp.Soc.restore soc2 mid;
   Vp.Soc.start soc2;
   finish soc2;
-  check_bool "final snapshot matches the threaded reference" true
+  check_bool "final snapshot matches the reference" true
     (String.equal final0 (Vp.Soc.save soc2));
   check_string "uart tx identical"
     (Vp.Uart.tx_string soc0.Vp.Soc.uart)
@@ -419,9 +419,14 @@ let test_restore_across_engines () =
   in
   check_bool "post-restore trace is the reference suffix" true
     (String.equal suffix (Buffer.contents buf2));
-  (* And the compiled-chain engine actually ran after the restore. *)
-  check_bool "threaded engine compiled blocks after restore" true
+  (* Blocks are compiled after the restore exactly when the restoring
+     engine compiles. *)
+  check_bool "blocks compiled after restore" (restore = Rv32.Core.Compiled)
     (soc2.Vp.Soc.cpu.Vp.Soc.cpu_blocks_built () > 0)
+
+let test_restore_across_engines () =
+  restore_across ~save:Rv32.Core.Step ~restore:Rv32.Core.Compiled;
+  restore_across ~save:Rv32.Core.Compiled ~restore:Rv32.Core.Step
 
 (* --- wilander attacks across a checkpoint ------------------------------ *)
 
